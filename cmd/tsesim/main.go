@@ -21,14 +21,13 @@
 // file, so the report is identical to evaluating the trace in the process
 // that generated it. Replay streams the file through the full TSE + timing
 // pipeline in bounded memory — the trace is never materialized, so files of
-// any size replay in constant space — and by default the file is decoded
-// exactly ONCE: the single decode pass is teed into every consumer by the
-// fan-out engine in internal/pipeline. -multipass restores the reference
-// path that decodes the file once per consumer, and -inmem the materializing
-// path (the reports are bit-identical in all three modes). -sweep runs an
-// entire named sensitivity study (streams|lookahead|svb — the Figure 7/8/9
-// sweeps) with every cell riding that same single decode through the ring
-// fan-out, so a whole sweep costs one codec pass instead of one per cell.
+// any size replay in constant space — and the file is decoded exactly ONCE:
+// the single decode pass is teed into every consumer by the fan-out engine
+// in internal/pipeline. The reports are bit-identical to tsm.EvaluateTSE and
+// tsm.ComparePrefetchers over the loaded trace. -sweep runs an entire named
+// sensitivity study (streams|lookahead|svb — the Figure 7/8/9 sweeps) with
+// every cell riding that same single decode through the ring fan-out, so a
+// whole sweep costs one codec pass instead of one per cell.
 // Version 3 trace files carry a chunk index: -decode-workers N decodes the
 // file with N parallel per-chunk workers (identical reports, faster wall
 // clock; -1 picks one worker per core), -mmap maps the file and lets the
@@ -102,8 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		input         = fs.String("i", "", "evaluate a trace file written by tracegen -o instead of running experiments")
 		compare       = fs.Bool("compare", false, "with -i: evaluate all Figure 12 models, not just TSE")
 		sweep         = fs.String("sweep", "", "with -i: run a named TSE sensitivity sweep (streams|lookahead|svb) over ONE decode of the file")
-		inmem         = fs.Bool("inmem", false, "with -i: materialize the trace instead of streaming it (same reports)")
-		multipass     = fs.Bool("multipass", false, "with -i: decode the file once per consumer instead of fusing into one pass (same reports)")
 		decodeWorkers = fs.Int("decode-workers", 0, "with -i: parallel per-chunk decode workers over the v3 chunk index (0 = serial, -1 = one per core)")
 		fromEvent     = fs.Uint64("from", 0, "with -i: replay from this event sequence number (inclusive; needs a v3 indexed file)")
 		toEvent       = fs.Uint64("to", 0, "with -i: replay up to this event sequence number (exclusive; 0 = end of trace)")
@@ -151,10 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seriesOut != "" || *manifestOut != "" {
 		if *input == "" {
 			fmt.Fprintln(stderr, "tsesim: -series and -manifest record trace-file replay and need -i")
-			return 2
-		}
-		if *inmem || *multipass {
-			fmt.Fprintln(stderr, "tsesim: -series and -manifest ride the fused streamed path and cannot combine with -inmem or -multipass")
 			return 2
 		}
 		if *seriesOut != "" {
@@ -223,21 +216,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *input != "" {
-		if *inmem && *multipass {
-			fmt.Fprintln(stderr, "tsesim: -inmem and -multipass are mutually exclusive (both are alternatives to the fused streamed path)")
-			return 2
-		}
-		if rcSet && (*inmem || *multipass) {
-			fmt.Fprintln(stderr, "tsesim: -decode-workers, -from, -to and -mmap ride the fused streamed path and cannot combine with -inmem or -multipass")
-			return 2
-		}
 		if rc.To != 0 && rc.To <= rc.From {
 			fmt.Fprintf(stderr, "tsesim: invalid event range [%d, %d): -to must exceed -from\n", rc.From, rc.To)
 			return 2
 		}
 		if *sweep != "" {
-			if *compare || *inmem || *multipass {
-				fmt.Fprintln(stderr, "tsesim: -sweep runs on the fused single-decode path and cannot combine with -compare, -inmem or -multipass")
+			if *compare {
+				fmt.Fprintln(stderr, "tsesim: -sweep runs its own set of TSE cells and cannot combine with -compare")
 				return 2
 			}
 			if err := sweepTrace(stdout, *input, *sweep, *quiet, rc, ins); err != nil {
@@ -247,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return dump()
 		}
-		if err := replayTrace(stdout, *input, *compare, *inmem, *multipass, *quiet, rc, ins); err != nil {
+		if err := replayTrace(stdout, *input, *compare, *quiet, rc, ins); err != nil {
 			fmt.Fprintf(stderr, "tsesim: %v\n", err)
 			dump()
 			return 1
@@ -350,71 +335,28 @@ func sweepTrace(stdout io.Writer, path, sweep string, quiet bool, rc tsm.ReplayC
 
 // replayTrace evaluates a trace file through the public facade, using the
 // embedded metadata to rebuild the generator, so the reports match the
-// generating process bit for bit. The default path streams the file through
-// the full TSE + timing pipeline in bounded memory with exactly one decode
-// pass teed into every consumer; multipass restores the decode-per-consumer
-// reference path, and inmem materializes the trace first (identical reports
-// in every mode, memory proportional to the trace only with inmem). The
-// multipass and inmem reference paths predate the fan-out engine and do not
-// carry instrumentation.
-func replayTrace(stdout io.Writer, path string, compare, inmem, multipass, quiet bool, rc tsm.ReplayConfig, ins tsm.Instrumentation) error {
+// generating process bit for bit. The file streams through the full TSE +
+// timing pipeline in bounded memory with exactly one decode pass teed into
+// every consumer.
+func replayTrace(stdout io.Writer, path string, compare, quiet bool, rc tsm.ReplayConfig, ins tsm.Instrumentation) error {
 	start := time.Now()
-	mode := "streamed, fused single decode" + replayModeSuffix(rc)
-	if multipass {
-		mode = "streamed, decode per consumer"
+	meta, err := tsm.ReplayMeta(path)
+	if err != nil {
+		return err
 	}
-	if inmem {
-		mode = "in-memory"
+	if !quiet {
+		fmt.Fprintf(stdout, "trace: %s (streamed, fused single decode%s)\n", meta, replayModeSuffix(rc))
 	}
 	var reports []tsm.Report
-	if inmem {
-		tr, meta, err := tsm.LoadTrace(path)
-		if err != nil {
-			return err
-		}
-		gen, err := tsm.GeneratorFor(meta)
-		if err != nil {
-			return err
-		}
-		opts := tsm.OptionsFor(meta)
-		if !quiet {
-			fmt.Fprintf(stdout, "trace: %s (%d events, %d consumptions, %s)\n", meta, tr.Len(), tr.ConsumptionCount(), mode)
-		}
-		if compare {
-			reports, err = tsm.EvaluateAll(tr, gen, opts)
-		} else {
-			var rep tsm.Report
-			rep, err = tsm.EvaluateTSE(tr, gen, opts)
-			reports = []tsm.Report{rep}
-		}
-		if err != nil {
-			return err
-		}
+	if compare {
+		reports, err = tsm.EvaluateAllFileWith(path, rc, ins)
 	} else {
-		meta, err := tsm.ReplayMeta(path)
-		if err != nil {
-			return err
-		}
-		if !quiet {
-			fmt.Fprintf(stdout, "trace: %s (%s)\n", meta, mode)
-		}
-		switch {
-		case compare && multipass:
-			reports, err = tsm.EvaluateAllFileMultipass(path)
-		case compare:
-			reports, err = tsm.EvaluateAllFileWith(path, rc, ins)
-		case multipass:
-			var rep tsm.Report
-			rep, err = tsm.EvaluateTSEFileMultipass(path)
-			reports = []tsm.Report{rep}
-		default:
-			var rep tsm.Report
-			rep, err = tsm.EvaluateTSEFileWith(path, rc, ins)
-			reports = []tsm.Report{rep}
-		}
-		if err != nil {
-			return err
-		}
+		var rep tsm.Report
+		rep, err = tsm.EvaluateTSEFileWith(path, rc, ins)
+		reports = []tsm.Report{rep}
+	}
+	if err != nil {
+		return err
 	}
 	for _, r := range reports {
 		fmt.Fprintln(stdout, r)

@@ -82,9 +82,6 @@ func TestRunUnwritableMetrics(t *testing.T) {
 // TestRunBadFlagCombo: contradictory flags exit 2 (usage error).
 func TestRunBadFlagCombo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-i", "x.tsm", "-inmem", "-multipass"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-inmem -multipass exited %d, want 2", code)
-	}
 	if code := run([]string{"-i", "x.tsm", "-sweep", "lookahead", "-compare"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("-sweep -compare exited %d, want 2", code)
 	}
@@ -288,14 +285,12 @@ func TestRunSeriesAndManifest(t *testing.T) {
 }
 
 // TestRunSeriesFlagCombos pins the CLI contract of -series/-manifest:
-// replay-only (-i required) and fused-path-only (no -inmem/-multipass).
+// replay-only (-i required).
 func TestRunSeriesFlagCombos(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	cases := [][]string{
 		{"-series", "s.json"},   // no -i
 		{"-manifest", "m.json"}, // no -i
-		{"-i", "x.tsm", "-series", "s.json", "-multipass"},
-		{"-i", "x.tsm", "-manifest", "m.json", "-inmem"},
 	}
 	for _, args := range cases {
 		stdout.Reset()
@@ -320,17 +315,13 @@ func TestRunSeriesFlagCombos(t *testing.T) {
 }
 
 // TestRunDecodeWorkerFlags pins the CLI contract of the v3-index flags:
-// replay-only (-i required), incompatible with the reference decode paths,
-// and a -to at or below -from is a usage error.
+// replay-only (-i required), and a -to at or below -from is a usage error.
 func TestRunDecodeWorkerFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	cases := [][]string{
 		{"-decode-workers", "4"}, // no -i
 		{"-from", "10"},          // no -i
 		{"-mmap"},                // no -i
-		{"-i", "x.tsm", "-decode-workers", "4", "-inmem"},
-		{"-i", "x.tsm", "-from", "10", "-multipass"},
-		{"-i", "x.tsm", "-mmap", "-inmem"},
 		{"-i", "x.tsm", "-from", "10", "-to", "5"},
 		{"-i", "x.tsm", "-from", "10", "-to", "10"},
 	}
@@ -389,5 +380,60 @@ func TestRunRangedReplay(t *testing.T) {
 	}
 	if !strings.Contains(ranged.String(), "TSE") {
 		t.Fatalf("ranged replay printed no report:\n%s", &ranged)
+	}
+}
+
+// TestRunReplayMatchesSerialReference: `tsesim -i` and `tsesim -i -compare`
+// print exactly the report lines of the serial in-memory reference —
+// tsm.EvaluateTSE and tsm.ComparePrefetchers over LoadTrace — for a
+// commercial and a scientific workload.
+func TestRunReplayMatchesSerialReference(t *testing.T) {
+	for _, workload := range []string{"db2", "pagerank"} {
+		t.Run(workload, func(t *testing.T) {
+			opts := tsm.Options{Nodes: 4, Scale: 0.05, Seed: 7}
+			tr, gen, err := tsm.GenerateTrace(workload, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), workload+".tsm")
+			if err := tsm.SaveTrace(path, tr, gen, opts); err != nil {
+				t.Fatal(err)
+			}
+			loaded, meta, err := tsm.LoadTrace(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lgen, err := tsm.GeneratorFor(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := tsm.EvaluateTSE(loaded, lgen, tsm.OptionsFor(meta))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports, err := tsm.ComparePrefetchers(loaded, lgen, tsm.OptionsFor(meta))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				args []string
+				want []tsm.Report
+			}{
+				{[]string{"-i", path, "-quiet"}, []tsm.Report{rep}},
+				{[]string{"-i", path, "-quiet", "-compare"}, reports},
+			} {
+				var stdout, stderr bytes.Buffer
+				if code := run(tc.args, &stdout, &stderr); code != 0 {
+					t.Fatalf("%v exited %d\nstderr:\n%s", tc.args, code, &stderr)
+				}
+				var want strings.Builder
+				for _, r := range tc.want {
+					fmt.Fprintln(&want, r)
+				}
+				if stdout.String() != want.String() {
+					t.Fatalf("%v printed\n%s\nwant the serial reference\n%s", tc.args, &stdout, &want)
+				}
+			}
+		})
 	}
 }

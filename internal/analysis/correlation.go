@@ -2,6 +2,11 @@
 // correlation opportunity study (Figure 6), the coverage/discard evaluation
 // harness used for TSE and the baseline prefetchers (Figures 7–10 and 12),
 // and the stream-length and bandwidth summaries (Figures 11 and 13).
+//
+// EvaluateModel and EvaluateTSE are the serial in-memory reference: one
+// model, one loop, no goroutines. ModelConsumer, TSEConsumer and Sweep run
+// the same models as consumers of the single-decode pipeline, with results
+// bit-identical to that reference.
 package analysis
 
 import (

@@ -65,6 +65,33 @@ func EvaluateModel(m prefetch.Model, tr *trace.Trace) CoverageResult {
 	return res
 }
 
+// ModelSpec describes a lazily constructed baseline prefetcher model.
+type ModelSpec struct {
+	// Name identifies the model in comparison tables.
+	Name string
+	// New constructs one independent instance of the model.
+	New func() prefetch.Model
+}
+
+// BaselineSpecs returns the Figure 12 baseline prefetchers (stride and both
+// GHB variants) for the given node count, in presentation order. It is the
+// one definition of the Figure 12 model list: the serial comparison
+// (tsm.ComparePrefetchers), the fused file replay and the experiments all
+// build their baselines from it.
+func BaselineSpecs(nodes int) []ModelSpec {
+	strideCfg := prefetch.DefaultStrideConfig()
+	strideCfg.Nodes = nodes
+	gdc := prefetch.DefaultGHBConfig(prefetch.GDC)
+	gdc.Nodes = nodes
+	gac := prefetch.DefaultGHBConfig(prefetch.GAC)
+	gac.Nodes = nodes
+	return []ModelSpec{
+		{Name: prefetch.NewStride(strideCfg).Name(), New: func() prefetch.Model { return prefetch.NewStride(strideCfg) }},
+		{Name: prefetch.NewGHB(gdc).Name(), New: func() prefetch.Model { return prefetch.NewGHB(gdc) }},
+		{Name: prefetch.NewGHB(gac).Name(), New: func() prefetch.Model { return prefetch.NewGHB(gac) }},
+	}
+}
+
 // EvaluateTSE replays a trace through a TSE system model and returns both
 // the common coverage summary and the full TSE result (stream lengths,
 // traffic, CMOB footprint).

@@ -55,7 +55,9 @@ func (c *countingSource) Next() (trace.Event, error) {
 // TestSweepSinglePassMatchesPerCell is the sweep evaluator's contract in one
 // test: evaluating N configurations through Sweep must (a) walk the stream
 // exactly ONCE — N events + one EOF — and (b) produce per-cell results
-// bit-identical to one EvaluateTSE pass per cell.
+// bit-identical to one EvaluateTSE pass per cell. The one-cell case runs a
+// TSEConsumer straight over the plain source; the wider ones read the
+// fan-out engine's column chunks.
 func TestSweepSinglePassMatchesPerCell(t *testing.T) {
 	tr, base := sweepTestTrace(t)
 	for _, cells := range []int{1, 4, 16} {
@@ -100,46 +102,51 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
-// TestSweepStrategiesAgree: the ring broadcast and the channels reference
-// must produce identical sweep results — the pipeline-strategy differential
-// at the evaluator level (the facade repeats it across every workload).
+// TestSweepStrategiesAgree: every way of feeding the sweep cells must give
+// identical results — the fan-out ring at its default chunking, the ring at a
+// narrow one (7-event chunks through a one-slot window, so the producer
+// waits on the slowest cell at almost every chunk), and SweepTrace over the
+// materialized trace.
 func TestSweepStrategiesAgree(t *testing.T) {
 	tr, base := sweepTestTrace(t)
 	cfgs := sweepTestConfigs(base, 6)
-	ring, err := SweepWith(pipeline.Config{Strategy: pipeline.Ring}, cfgs, stream.TraceSource(tr))
+	ring, err := Sweep(cfgs, stream.TraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	chans, err := SweepWith(pipeline.Config{Strategy: pipeline.Channels}, cfgs, stream.TraceSource(tr))
+	narrow, err := SweepWith(pipeline.Config{ChunkEvents: 7, ChunkBuffer: 1}, cfgs, stream.TraceSource(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range cfgs {
-		if ring[i].Coverage != chans[i].Coverage {
-			t.Fatalf("cell %d: ring %+v != channels %+v", i, ring[i].Coverage, chans[i].Coverage)
-		}
-	}
-
-	// SweepTrace is the same single pass over the materialized trace.
 	viaTrace, err := SweepTrace(cfgs, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range cfgs {
+		if narrow[i].Coverage != ring[i].Coverage {
+			t.Fatalf("cell %d: narrow ring %+v != default ring %+v", i, narrow[i].Coverage, ring[i].Coverage)
+		}
 		if viaTrace[i].Coverage != ring[i].Coverage {
 			t.Fatalf("cell %d: SweepTrace %+v != Sweep %+v", i, viaTrace[i].Coverage, ring[i].Coverage)
 		}
 	}
 }
 
+// brokenSource fails immediately.
+type brokenSource struct{}
+
+var errBroken = errors.New("analysis test: source failed")
+
+func (brokenSource) Next() (trace.Event, error) { return trace.Event{}, errBroken }
+
 // TestSweepPropagatesSourceError: a terminal decode error must fail the
-// sweep with that error, under both strategies.
+// sweep with that error, whether the single cell reads the source directly
+// or several cells share it through the fan-out engine.
 func TestSweepPropagatesSourceError(t *testing.T) {
 	_, base := sweepTestTrace(t)
-	cfgs := sweepTestConfigs(base, 3)
-	for _, s := range []pipeline.Strategy{pipeline.Ring, pipeline.Channels} {
-		if _, err := SweepWith(pipeline.Config{Strategy: s}, cfgs, brokenSource{}); !errors.Is(err, errBroken) {
-			t.Fatalf("strategy %v: err = %v, want errBroken", s, err)
+	for _, cells := range []int{1, 3} {
+		if _, err := Sweep(sweepTestConfigs(base, cells), brokenSource{}); !errors.Is(err, errBroken) {
+			t.Fatalf("%d cells: err = %v, want errBroken", cells, err)
 		}
 	}
 }

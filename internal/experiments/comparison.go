@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"tsm/internal/analysis"
-	"tsm/internal/prefetch"
-)
+import "tsm/internal/analysis"
 
 // Fig12 reproduces Figure 12: coverage and discards of the stride stream
 // buffer, GHB with distance correlation (G/DC), GHB with address correlation
@@ -23,22 +20,14 @@ func Fig12(w *Workspace) (Table, error) {
 			return Table{}, err
 		}
 
-		strideCfg := prefetch.DefaultStrideConfig()
-		strideCfg.Nodes = nodes
-		stride := analysis.EvaluateModel(prefetch.NewStride(strideCfg), data.Trace)
-
-		gdcCfg := prefetch.DefaultGHBConfig(prefetch.GDC)
-		gdcCfg.Nodes = nodes
-		gdc := analysis.EvaluateModel(prefetch.NewGHB(gdcCfg), data.Trace)
-
-		gacCfg := prefetch.DefaultGHBConfig(prefetch.GAC)
-		gacCfg.Nodes = nodes
-		gac := analysis.EvaluateModel(prefetch.NewGHB(gacCfg), data.Trace)
-
+		var results []analysis.CoverageResult
+		for _, spec := range analysis.BaselineSpecs(nodes) {
+			results = append(results, analysis.EvaluateModel(spec.New(), data.Trace))
+		}
 		tseCfg := paperTSEConfig(w, data.Generator.Timing().Lookahead)
 		tseCov, _ := analysis.EvaluateTSE(tseCfg, data.Trace)
 
-		for _, r := range []analysis.CoverageResult{stride, gdc, gac, tseCov} {
+		for _, r := range append(results, tseCov) {
 			t.Rows = append(t.Rows, []string{name, r.Name, pct(r.Coverage()), pct(r.DiscardRate())})
 		}
 	}

@@ -20,8 +20,10 @@ func Workers(n int) int {
 
 // RunOrdered evaluates fn(0..n-1) on a pool of at most workers goroutines
 // and returns the results in index order (the "ordered merge": parallel
-// execution, deterministic output). The first error wins; remaining tasks
-// still run to completion, keeping the work deterministic under errors.
+// execution, deterministic output). On failure it returns the error of the
+// lowest failing index, whatever order the tasks finished in, so the error
+// a caller sees does not depend on scheduling; the parallel path still runs
+// every task to completion.
 func RunOrdered[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	if n == 0 {
@@ -41,22 +43,16 @@ func RunOrdered[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 		return out, nil
 	}
 	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-		next     = make(chan int)
+		wg   sync.WaitGroup
+		errs = make([]error, n)
+		next = make(chan int)
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				res, err := fn(i)
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					continue
-				}
-				out[i] = res
+				out[i], errs[i] = fn(i)
 			}
 		}()
 	}
@@ -65,8 +61,10 @@ func RunOrdered[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	}
 	close(next)
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"tsm/internal/mem"
@@ -94,6 +95,22 @@ func TestRunOrdered(t *testing.T) {
 	out, err = RunOrdered(3, 1, func(i int) (int, error) { return i, nil })
 	if err != nil || len(out) != 3 {
 		t.Fatalf("serial RunOrdered = %v, %v", out, err)
+	}
+
+	// Two failures on the parallel path: index 1 fails first in time, yet
+	// the lowest failing index wins, exactly as on the serial path.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	err0, err1 := errors.New("task 0"), errors.New("task 1")
+	failed1 := make(chan struct{})
+	if _, err := RunOrdered(2, 2, func(i int) (int, error) {
+		if i == 1 {
+			close(failed1)
+			return 0, err1
+		}
+		<-failed1
+		return 0, err0
+	}); err != err0 {
+		t.Fatalf("err = %v, want the lowest failing index's %v", err, err0)
 	}
 }
 

@@ -9,14 +9,12 @@ package tsm
 // timing model, the Figure 12 baselines) by the fan-out engine in
 // internal/pipeline, with each consumer on its own goroutine reading a
 // cursor of the shared broadcast ring. The reports are bit-identical to the
-// in-memory path and to the retained multipass reference implementations —
-// proven by tests and pinned by the golden-file harness in testdata/. For
+// serial in-memory reference (EvaluateTSE, ComparePrefetchers) — proven by
+// tests and pinned by the golden-file harness in testdata/. For
 // whole sensitivity sweeps over one file, see sweep.go
 // (EvaluateTSESweepFile): N configurations, still exactly one decode.
 
 import (
-	"fmt"
-
 	"tsm/internal/analysis"
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
@@ -43,14 +41,6 @@ func replayContext(meta TraceMeta) (Generator, Options, error) {
 	return gen, OptionsFor(meta), nil
 }
 
-// coverageReport converts a coverage summary into the facade Report shape.
-func coverageReport(r analysis.CoverageResult) Report {
-	return Report{
-		Model: r.Name, Consumptions: r.Consumptions,
-		Coverage: r.Coverage(), Discards: r.DiscardRate(),
-	}
-}
-
 // EvaluateTSESource evaluates the paper's TSE configuration over a single
 // pass of an event source: ONE decode of src is teed into the trace-driven
 // coverage model, the baseline timing model and the TSE timing model, each
@@ -64,7 +54,8 @@ func EvaluateTSESource(src EventSource, meta TraceMeta) (Report, error) {
 }
 
 // evaluateTSESourceWith is EvaluateTSESource under an explicit pipeline
-// configuration — the seam the ring-vs-channels replay benchmarks use.
+// configuration — the observability seam. Consumers default to their model
+// names in metrics and trace lanes.
 func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta) (Report, error) {
 	gen, opts, err := replayContext(meta)
 	if err != nil {
@@ -91,8 +82,8 @@ func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta
 // the single pass feeds all three consumers (see EvaluateTSESource), using
 // the generation metadata embedded in the file. The trace is never
 // materialized, and the Report is bit-identical to EvaluateTSE over
-// LoadTrace's in-memory events and to EvaluateTSEFileMultipass. For parallel
-// decode or ranged replay, see EvaluateTSEFileWith.
+// LoadTrace's in-memory events. For parallel decode or ranged replay, see
+// EvaluateTSEFileWith.
 func EvaluateTSEFile(path string) (Report, error) {
 	return EvaluateTSEFileWith(path, ReplayConfig{}, Instrumentation{})
 }
@@ -100,8 +91,8 @@ func EvaluateTSEFile(path string) (Report, error) {
 // EvaluateAllSource runs the Figure 12 comparison — stride, both GHB
 // variants and TSE — over a single pass of an event source: ONE decode of
 // src is teed into all four models concurrently. The reports are identical
-// to EvaluateAll (and therefore to the serial ComparePrefetchers) over the
-// equivalent in-memory trace, in the same order.
+// to ComparePrefetchers over the equivalent in-memory trace, in the same
+// order.
 func EvaluateAllSource(src EventSource, meta TraceMeta) ([]Report, error) {
 	return evaluateAllSourceWith(pipeline.Config{}, src, meta)
 }
@@ -142,94 +133,8 @@ func evaluateAllSourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta
 // EvaluateAllFile runs the Figure 12 comparison on a saved trace through the
 // fused streamed pipeline: the file is decoded exactly once and the single
 // pass feeds every model (see EvaluateAllSource). The reports are identical
-// to EvaluateAll over the loaded trace, in the same order. For parallel
-// decode or ranged replay, see EvaluateAllFileWith.
+// to ComparePrefetchers over the loaded trace, in the same order. For
+// parallel decode or ranged replay, see EvaluateAllFileWith.
 func EvaluateAllFile(path string) ([]Report, error) {
 	return EvaluateAllFileWith(path, ReplayConfig{}, Instrumentation{})
-}
-
-// --- Multipass reference implementations ---------------------------------
-//
-// The pre-fusion replay paths — one decode pass per consumer, re-opening the
-// file each time — are retained as differential-testing references: the
-// parity tests, the fused-vs-multipass CI diff and BenchmarkFileReplay all
-// compare the fused engine against them. They produce bit-identical reports
-// by construction (same consumers, same event order) while costing one codec
-// pass per consumer instead of one in total.
-
-// simulateFile runs one timing simulation as a single streaming pass over
-// the trace file.
-func simulateFile(path string, p timing.Params) (timing.Result, error) {
-	f, err := stream.OpenFile(path)
-	if err != nil {
-		return timing.Result{}, err
-	}
-	res, err := timing.SimulateSource(f, p)
-	return res, stream.CloseMerge(f, err)
-}
-
-// EvaluateTSEFileMultipass is the multipass reference for EvaluateTSEFile:
-// three bounded-memory decode passes over the file (coverage, baseline
-// timing, TSE timing), each re-opening it. Reports are bit-identical to the
-// fused single-decode path.
-func EvaluateTSEFileMultipass(path string) (Report, error) {
-	f, err := stream.OpenFile(path)
-	if err != nil {
-		return Report{}, err
-	}
-	gen, opts, err := replayContext(f.Meta())
-	if err != nil {
-		f.Close()
-		return Report{}, err
-	}
-	cfg := tseConfig(gen, opts)
-	cov, _, err := analysis.EvaluateTSEStream(cfg, f)
-	if err = stream.CloseMerge(f, err); err != nil {
-		return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-
-	params := timingParams(gen, opts)
-	base, err := simulateFile(path, params)
-	if err != nil {
-		return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-	params.TSE = &cfg
-	withTSE, err := simulateFile(path, params)
-	if err != nil {
-		return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-	}
-	return tseReport(cov, base, withTSE), nil
-}
-
-// EvaluateAllFileMultipass is the multipass reference for EvaluateAllFile:
-// each model gets its own decode pass over the file, the independent passes
-// running in parallel over the worker pool. Reports are identical to the
-// fused single-decode path, in the same order.
-func EvaluateAllFileMultipass(path string) ([]Report, error) {
-	meta, err := ReplayMeta(path)
-	if err != nil {
-		return nil, err
-	}
-	gen, opts, err := replayContext(meta)
-	if err != nil {
-		return nil, err
-	}
-	cfg := tseConfig(gen, opts)
-	specs := analysis.BaselineSpecs(opts.Nodes)
-	return stream.RunOrdered(len(specs)+1, 0, func(i int) (Report, error) {
-		f, err := stream.OpenFile(path)
-		if err != nil {
-			return Report{}, err
-		}
-		var cov analysis.CoverageResult
-		if i < len(specs) {
-			cov, err = analysis.EvaluateModelStream(specs[i].New(), f)
-		} else {
-			cov, _, err = analysis.EvaluateTSEStream(cfg, f)
-		}
-		if err = stream.CloseMerge(f, err); err != nil {
-			return Report{}, fmt.Errorf("tsm: replaying %s: %w", path, err)
-		}
-		return coverageReport(cov), nil
-	})
 }

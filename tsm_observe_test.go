@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 )
 
@@ -144,10 +145,12 @@ func TestFileReplayManifest(t *testing.T) {
 
 // TestManifestDeterministicShape: two identical runs produce byte-identical
 // manifests once the legitimately timing-dependent fields — stage wall
-// times, the nanosecond/throughput metrics and the backpressure wait
-// histograms, all functions of scheduling rather than of the evaluation —
-// are cleared. The JSON shape, key order, trace provenance and every
-// deterministic metric (event counts, per-consumer totals) are stable.
+// times, the nanosecond/throughput metrics, the backpressure wait
+// histograms and the cursor lag and ring occupancy gauges, all functions of
+// scheduling rather than of the evaluation — are cleared. The lag and
+// occupancy gauges are still checked against the ring capacity that bounds
+// them. The JSON shape, key order, trace provenance and every deterministic
+// metric (event counts, per-consumer totals) are stable.
 func TestManifestDeterministicShape(t *testing.T) {
 	path := writeTestTrace(t, "moldyn")
 	encode := func() []byte {
@@ -166,10 +169,24 @@ func TestManifestDeterministicShape(t *testing.T) {
 				delete(m.Metrics.Counters, name)
 			}
 		}
-		for name := range m.Metrics.Gauges {
-			if strings.HasSuffix(name, "_per_sec") {
+		lags := 0
+		for name, v := range m.Metrics.Gauges {
+			lag := strings.HasPrefix(name, "pipeline.consumer.") && strings.HasSuffix(name, ".lag_max")
+			switch {
+			case strings.HasSuffix(name, "_per_sec"):
 				delete(m.Metrics.Gauges, name)
+			case lag || strings.HasPrefix(name, "pipeline.ring.occupancy"):
+				if v < 0 || v > pipeline.DefaultChunkBuffer {
+					t.Errorf("%s = %d, want within the ring capacity [0, %d]", name, v, pipeline.DefaultChunkBuffer)
+				}
+				delete(m.Metrics.Gauges, name)
+				if lag {
+					lags++
+				}
 			}
+		}
+		if lags == 0 {
+			t.Fatal("manifest carries no pipeline.consumer.*.lag_max gauges")
 		}
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)

@@ -130,12 +130,11 @@ func TestTraceFileRoundTripReport(t *testing.T) {
 	}
 }
 
-// TestFileReplayParityAllWorkloads is the PR's acceptance criterion: for
-// EVERY workload — the paper's seven, the extended matrix and the
-// cross-workload mix — all three file-replay pipelines must agree bit for bit: the fused single-decode
-// fan-out engine (EvaluateTSEFile), the multipass reference that re-decodes
-// the file per consumer (EvaluateTSEFileMultipass), and the in-memory
-// pipeline over the loaded trace.
+// TestFileReplayParityAllWorkloads: for EVERY workload — the paper's seven,
+// the extended matrix and the cross-workload mixes — the fused single-decode
+// file replay must agree bit for bit with the serial in-memory reference
+// over the loaded trace: EvaluateTSEFile with EvaluateTSE, and
+// EvaluateAllFile with ComparePrefetchers.
 func TestFileReplayParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
 	dir := t.TempDir()
@@ -151,7 +150,7 @@ func TestFileReplayParityAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// In-memory pipeline (the reference).
+			// The serial in-memory reference over the loaded trace.
 			loaded, meta, err := LoadTrace(path)
 			if err != nil {
 				t.Fatal(err)
@@ -161,6 +160,10 @@ func TestFileReplayParityAllWorkloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			want, err := EvaluateTSE(loaded, gen2, OptionsFor(meta))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantAll, err := ComparePrefetchers(loaded, gen2, OptionsFor(meta))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,15 +177,27 @@ func TestFileReplayParityAllWorkloads(t *testing.T) {
 				t.Fatalf("fused report %+v != in-memory report %+v", fused, want)
 			}
 
-			// Multipass streamed pipeline: one decode pass per consumer.
-			multipass, err := EvaluateTSEFileMultipass(path)
+			// The Figure 12 comparison: one decode pass, four models.
+			fusedAll, err := EvaluateAllFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if multipass != want {
-				t.Fatalf("multipass report %+v != in-memory report %+v", multipass, want)
-			}
+			assertReports(t, fusedAll, wantAll)
 		})
+	}
+}
+
+// assertReports fails unless got and want hold the same reports in the
+// same order.
+func assertReports(t *testing.T, got, want []Report) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d reports, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("report %d: fused %+v, want serial %+v", i, got[i], want[i])
+		}
 	}
 }
 
@@ -199,11 +214,11 @@ func (c *passCountingSource) Next() (Event, error) {
 	return c.src.Next()
 }
 
-// TestSingleDecodePass is the tentpole's acceptance criterion: the fused
-// replay engine behind EvaluateTSEFile/EvaluateAllFile must decode the trace
-// exactly ONCE — N events + one EOF read from the source — even though the
-// TSE report needs three consumers and the Figure 12 comparison four, and
-// the reports must match the in-memory pipeline bit for bit.
+// TestSingleDecodePass: the fused replay engine behind
+// EvaluateTSEFile/EvaluateAllFile must decode the trace exactly ONCE — N
+// events + one EOF read from the source — even though the TSE report needs
+// three consumers and the Figure 12 comparison four, and the reports must
+// match the serial in-memory reference bit for bit.
 func TestSingleDecodePass(t *testing.T) {
 	opts := testOpts()
 	tr, gen, err := GenerateTrace("db2", opts)
@@ -229,7 +244,7 @@ func TestSingleDecodePass(t *testing.T) {
 		t.Fatalf("EvaluateTSESource read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
 	}
 
-	wantAll, err := EvaluateAll(tr, gen, opts)
+	wantAll, err := ComparePrefetchers(tr, gen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,14 +253,7 @@ func TestSingleDecodePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotAll) != len(wantAll) {
-		t.Fatalf("got %d reports, want %d", len(gotAll), len(wantAll))
-	}
-	for i := range wantAll {
-		if gotAll[i] != wantAll[i] {
-			t.Errorf("report %d: single-pass %+v, want %+v", i, gotAll[i], wantAll[i])
-		}
-	}
+	assertReports(t, gotAll, wantAll)
 	if src.nexts != wantNexts {
 		t.Fatalf("EvaluateAllSource read the source %d times, want %d (one decode pass)", src.nexts, wantNexts)
 	}
@@ -258,10 +266,10 @@ func TestSingleDecodePass(t *testing.T) {
 	}
 }
 
-// TestEvaluateAllFileMatchesEvaluateAll: the streamed Figure 12 comparison
-// over a trace file — fused and multipass — must reproduce the in-memory
-// comparison exactly.
-func TestEvaluateAllFileMatchesEvaluateAll(t *testing.T) {
+// TestEvaluateAllFileMatchesComparePrefetchers: the streamed Figure 12
+// comparison over a trace file must reproduce the serial in-memory
+// comparison exactly, in the same order.
+func TestEvaluateAllFileMatchesComparePrefetchers(t *testing.T) {
 	opts := testOpts()
 	tr, gen, err := GenerateTrace("memkv", opts)
 	if err != nil {
@@ -271,7 +279,7 @@ func TestEvaluateAllFileMatchesEvaluateAll(t *testing.T) {
 	if err := SaveTrace(path, tr, gen, opts); err != nil {
 		t.Fatal(err)
 	}
-	want, err := EvaluateAll(tr, gen, opts)
+	want, err := ComparePrefetchers(tr, gen, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,33 +287,8 @@ func TestEvaluateAllFileMatchesEvaluateAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d reports, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("report %d: streamed %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	multipass, err := EvaluateAllFileMultipass(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multipass) != len(want) {
-		t.Fatalf("multipass got %d reports, want %d", len(multipass), len(want))
-	}
-	for i := range want {
-		if multipass[i] != want[i] {
-			t.Errorf("report %d: multipass %+v, want %+v", i, multipass[i], want[i])
-		}
-	}
+	assertReports(t, got, want)
 	if _, err := EvaluateAllFile(t.TempDir() + "/missing.tsm"); err == nil {
-		t.Fatal("missing file should error")
-	}
-	if _, err := EvaluateAllFileMultipass(t.TempDir() + "/missing.tsm"); err == nil {
-		t.Fatal("missing file should error")
-	}
-	if _, err := EvaluateTSEFileMultipass(t.TempDir() + "/missing.tsm"); err == nil {
 		t.Fatal("missing file should error")
 	}
 }
@@ -330,35 +313,6 @@ func TestReplayMeta(t *testing.T) {
 	}
 	if _, err := ReplayMeta(path + ".missing"); err == nil {
 		t.Fatal("missing file should error")
-	}
-}
-
-// TestEvaluateAllMatchesComparePrefetchers: the parallel suite evaluation
-// must reproduce the serial comparison exactly, in the same order.
-func TestEvaluateAllMatchesComparePrefetchers(t *testing.T) {
-	opts := testOpts()
-	tr, gen, err := GenerateTrace("oracle", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ComparePrefetchers(tr, gen, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := EvaluateAll(tr, gen, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d reports, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("report %d: parallel %+v, want serial %+v", i, got[i], want[i])
-		}
-	}
-	if _, err := EvaluateAll(nil, gen, opts); err == nil {
-		t.Fatal("nil trace should error")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"tsm/internal/analysis"
 	"tsm/internal/experiments"
-	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 )
 
@@ -122,10 +121,10 @@ func TestSweepSingleDecodePass(t *testing.T) {
 	}
 }
 
-// TestSweepStrategyParityAllWorkloads is the ring==channels differential at
-// the facade level, across EVERY registered workload (mixes included): the
-// ring broadcast and the channels reference must produce identical sweep
-// cells, and both must match the independent per-cell passes.
+// TestSweepStrategyParityAllWorkloads pins the sweep's evaluation strategy —
+// every cell riding one shared pass — against the serial reference across
+// EVERY registered workload (mixes included): each sweep cell must equal an
+// independent analysis.EvaluateTSE pass over the same trace.
 func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 	opts := Options{Nodes: 4, Scale: 0.03, Seed: 11}
 	for _, name := range AllWorkloads() {
@@ -139,21 +138,14 @@ func TestSweepStrategyParityAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ring, err := analysis.SweepWith(pipeline.Config{Strategy: pipeline.Ring}, cfgs, stream.TraceSource(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			chans, err := analysis.SweepWith(pipeline.Config{Strategy: pipeline.Channels}, cfgs, stream.TraceSource(tr))
+			got, err := analysis.SweepTrace(cfgs, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, cfg := range cfgs {
-				if ring[i].Coverage != chans[i].Coverage {
-					t.Fatalf("cell %d: ring %+v != channels %+v", i, ring[i].Coverage, chans[i].Coverage)
-				}
 				want, _ := analysis.EvaluateTSE(cfg, tr)
-				if ring[i].Coverage != want {
-					t.Fatalf("cell %d: sweep %+v != independent pass %+v", i, ring[i].Coverage, want)
+				if got[i].Coverage != want {
+					t.Fatalf("cell %d: sweep %+v != independent pass %+v", i, got[i].Coverage, want)
 				}
 			}
 		})
