@@ -62,6 +62,8 @@ type Entry struct {
 	LastWriter mem.NodeID // most recent writer ever (InvalidNode if none)
 	// CMOBPtrs holds the most recent CMOB pointers, newest first. Its
 	// length is bounded by the directory's PointersPerEntry.
+	// RecordCMOBPointer reorders it in place, so copy it to keep a
+	// snapshot.
 	CMOBPtrs []CMOBPointer
 }
 
@@ -287,32 +289,31 @@ func (d *Directory) Evict(node mem.NodeID, b mem.BlockAddr, dirty bool) {
 // PointersPerEntry pointers with the newest first. A newer pointer from the
 // same node replaces that node's older pointer rather than occupying an
 // extra slot, so the retained pointers come from distinct recent consumers.
+// The entry's pointer slice is reordered in place: once it holds
+// PointersPerEntry pointers, recording never allocates.
 func (d *Directory) RecordCMOBPointer(b mem.BlockAddr, ptr CMOBPointer) {
 	if d.cfg.PointersPerEntry == 0 {
 		return
 	}
 	e := d.entry(b)
 	ptr.Valid = true
-	// Drop any existing pointer from the same node.
-	kept := e.CMOBPtrs[:0]
-	for _, p := range e.CMOBPtrs {
-		if p.Node != ptr.Node {
-			kept = append(kept, p)
+	ptrs := e.CMOBPtrs
+	// The slot that gives way: the node's own older pointer, else a fresh
+	// slot while there is room, else the oldest pointer.
+	i := 0
+	for i < len(ptrs) && ptrs[i].Node != ptr.Node {
+		i++
+	}
+	if i == len(ptrs) {
+		if len(ptrs) < d.cfg.PointersPerEntry {
+			ptrs = append(ptrs, CMOBPointer{})
+		} else {
+			i--
 		}
 	}
-	e.CMOBPtrs = append([]CMOBPointer{ptr}, kept...)
-	if len(e.CMOBPtrs) > d.cfg.PointersPerEntry {
-		e.CMOBPtrs = e.CMOBPtrs[:d.cfg.PointersPerEntry]
-	}
-}
-
-// CMOBPointers returns the stored CMOB pointers for a block, newest first.
-func (d *Directory) CMOBPointers(b mem.BlockAddr) []CMOBPointer {
-	e := d.entries[d.cfg.Geometry.BlockIndex(mem.Addr(b))]
-	if e == nil {
-		return nil
-	}
-	return append([]CMOBPointer(nil), e.CMOBPtrs...)
+	copy(ptrs[1:i+1], ptrs[:i])
+	ptrs[0] = ptr
+	e.CMOBPtrs = ptrs
 }
 
 // PointerStorageBits returns the directory storage overhead, in bits per

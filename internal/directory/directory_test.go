@@ -12,6 +12,14 @@ func newDir(t *testing.T) *Directory {
 	return New(Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
 }
 
+// cmobPointers returns the block's stored CMOB pointers, newest first.
+func cmobPointers(d *Directory, b mem.BlockAddr) []CMOBPointer {
+	if e := d.Lookup(b); e != nil {
+		return e.CMOBPtrs
+	}
+	return nil
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -167,24 +175,24 @@ func TestEvict(t *testing.T) {
 func TestCMOBPointers(t *testing.T) {
 	d := newDir(t)
 	b := mem.BlockAddr(0x5000)
-	if got := d.CMOBPointers(b); got != nil {
+	if got := cmobPointers(d, b); got != nil {
 		t.Fatal("pointers for untouched block should be nil")
 	}
 	d.RecordCMOBPointer(b, CMOBPointer{Node: 1, Offset: 10})
 	d.RecordCMOBPointer(b, CMOBPointer{Node: 2, Offset: 20})
-	ptrs := d.CMOBPointers(b)
+	ptrs := cmobPointers(d, b)
 	if len(ptrs) != 2 || ptrs[0].Node != 2 || ptrs[1].Node != 1 {
 		t.Fatalf("pointers = %+v, want newest (node 2) first", ptrs)
 	}
 	// Same node again: replaces its old pointer, still 2 entries.
 	d.RecordCMOBPointer(b, CMOBPointer{Node: 1, Offset: 30})
-	ptrs = d.CMOBPointers(b)
+	ptrs = cmobPointers(d, b)
 	if len(ptrs) != 2 || ptrs[0].Node != 1 || ptrs[0].Offset != 30 || ptrs[1].Node != 2 {
 		t.Fatalf("pointers = %+v, want node1@30 then node2@20", ptrs)
 	}
 	// Third distinct node: oldest drops.
 	d.RecordCMOBPointer(b, CMOBPointer{Node: 3, Offset: 40})
-	ptrs = d.CMOBPointers(b)
+	ptrs = cmobPointers(d, b)
 	if len(ptrs) != 2 || ptrs[0].Node != 3 || ptrs[1].Node != 1 {
 		t.Fatalf("pointers = %+v, want node3 then node1", ptrs)
 	}
@@ -192,6 +200,66 @@ func TestCMOBPointers(t *testing.T) {
 	rd := d.Read(1, b)
 	if len(rd.CMOBPtrs) != 2 {
 		t.Fatalf("Read CMOBPtrs = %+v", rd.CMOBPtrs)
+	}
+}
+
+// prependPointer is the reference update RecordCMOBPointer must match: drop
+// the node's older pointer, put the new one first, keep the newest n.
+func prependPointer(ptrs []CMOBPointer, ptr CMOBPointer, n int) []CMOBPointer {
+	out := []CMOBPointer{ptr}
+	for _, p := range ptrs {
+		if p.Node != ptr.Node {
+			out = append(out, p)
+		}
+	}
+	return out[:min(len(out), n)]
+}
+
+func TestRecordCMOBPointerOrderAndDedup(t *testing.T) {
+	for _, per := range []int{1, 2, 3} {
+		d := New(Config{Nodes: 8, Geometry: mem.DefaultGeometry(), PointersPerEntry: per})
+		f := func(records []uint8) bool {
+			b := mem.BlockAddr(0x40 * uint64(len(records)))
+			d.Reset()
+			var want []CMOBPointer
+			for i, r := range records {
+				ptr := CMOBPointer{Node: mem.NodeID(r % 5), Offset: uint64(i)}
+				d.RecordCMOBPointer(b, ptr)
+				ptr.Valid = true
+				want = prependPointer(want, ptr, per)
+				got := cmobPointers(d, b)
+				if len(got) != len(want) {
+					return false
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("PointersPerEntry=%d: %v", per, err)
+		}
+	}
+}
+
+func TestRecordCMOBPointerDoesNotAllocate(t *testing.T) {
+	for _, per := range []int{1, 2, 3} {
+		d := New(Config{Nodes: 8, Geometry: mem.DefaultGeometry(), PointersPerEntry: per})
+		b := mem.BlockAddr(0x7000)
+		for n := 0; n < per; n++ {
+			d.RecordCMOBPointer(b, CMOBPointer{Node: mem.NodeID(n), Offset: uint64(n)})
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			i++
+			d.RecordCMOBPointer(b, CMOBPointer{Node: mem.NodeID(i % 5), Offset: uint64(i)})
+		})
+		if allocs != 0 {
+			t.Fatalf("PointersPerEntry=%d: RecordCMOBPointer made %v allocations per call, want 0", per, allocs)
+		}
 	}
 }
 
@@ -210,7 +278,7 @@ func TestZeroPointerConfig(t *testing.T) {
 	d := New(Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 0})
 	b := mem.BlockAddr(0x100)
 	d.RecordCMOBPointer(b, CMOBPointer{Node: 1, Offset: 1})
-	if len(d.CMOBPointers(b)) != 0 {
+	if len(cmobPointers(d, b)) != 0 {
 		t.Fatal("directory with 0 pointers per entry must not store pointers")
 	}
 }

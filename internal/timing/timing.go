@@ -136,6 +136,10 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// streamSpacing is the spacing in cycles between successive streamed data
+// blocks of one burst.
+const streamSpacing = 30
+
 // nodeState is the per-node simulation state.
 type nodeState struct {
 	clock uint64
@@ -146,13 +150,35 @@ type nodeState struct {
 	// mlpAcc carries the fractional part of the target burst size so that
 	// the average burst size matches a non-integer MLP.
 	mlpAcc float64
-	// arrivals maps streamed blocks to the cycle at which their data will
-	// have arrived in the SVB.
+	// svb is the node's streamed value buffer (nil without TSE).
+	svb *tse.SVB
+	// arrivals maps the streamed blocks the node's SVB holds to the cycle
+	// at which their data will have arrived. A block leaves it when it is
+	// hit or discarded, so it never outgrows the SVB.
 	arrivals map[mem.BlockAddr]uint64
 	// pendingFetches collects blocks streamed during the current
 	// consumption call, before their arrival times are assigned.
 	pendingFetches []mem.BlockAddr
 	breakdown      Breakdown
+}
+
+// simulator is the state of one timing simulation, fed one event at a time.
+type simulator struct {
+	p       Params
+	nodes   []*nodeState
+	sys     *tse.System
+	segSize int
+	mlp     float64
+	// lCoh is the coherent 3-hop miss latency, lSVB an SVB hit, and
+	// streamStart the latency until a newly located stream delivers data.
+	lCoh, lSVB, streamStart   uint64
+	busyPerCons, otherPerCons uint64
+
+	res                       Result
+	partialHiddenSum          float64
+	bursts, burstConsumptions uint64
+	segCount                  int
+	prevTotal                 uint64
 }
 
 // Simulate runs the timing model over a trace and returns the result.
@@ -170,204 +196,220 @@ func SimulateSource(src stream.Source, p Params) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	segSize := p.SegmentConsumptions
-	if segSize <= 0 {
-		segSize = 2000
+	sim := newSimulator(p)
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			return sim.finish(), nil
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		sim.event(e)
+	}
+}
+
+// newSimulator sets up a simulation of validated parameters.
+func newSimulator(p Params) *simulator {
+	sim := &simulator{p: p, segSize: p.SegmentConsumptions}
+	if sim.segSize <= 0 {
+		sim.segSize = 2000
 	}
 
-	lCoh := p.System.ThreeHopLatencyCycles()
-	lSVB := p.System.SVBHitLatencyCycles()
+	sim.lCoh = p.System.ThreeHopLatencyCycles()
+	sim.lSVB = p.System.SVBHitLatencyCycles()
 	// Stream retrieval latency: the stream lookup+forwarding round trip is
 	// approximately one more 3-hop latency after the triggering miss fills.
-	streamStart := 2 * lCoh
-	// Spacing between successive streamed data blocks of one burst.
-	const streamSpacing = 30
+	sim.streamStart = 2 * sim.lCoh
 
 	// Per-consumption non-coherent work, derived so that the baseline
 	// breakdown matches the workload profile by construction: the baseline
 	// coherent stall per consumption is lCoh/MLP.
-	mlp := p.Profile.MLP
-	if mlp < 1 {
-		mlp = 1
+	sim.mlp = p.Profile.MLP
+	if sim.mlp < 1 {
+		sim.mlp = 1
 	}
-	cohPerCons := float64(lCoh) / mlp
+	cohPerCons := float64(sim.lCoh) / sim.mlp
 	nonCohFrac := p.Profile.BusyFraction + p.Profile.OtherStallFraction
 	gap := cohPerCons * nonCohFrac / p.Profile.CoherentStallFraction
 	busyShare := 0.0
 	if nonCohFrac > 0 {
 		busyShare = p.Profile.BusyFraction / nonCohFrac
 	}
-	busyPerCons := uint64(gap*busyShare + 0.5)
-	otherPerCons := uint64(gap*(1-busyShare) + 0.5)
+	sim.busyPerCons = uint64(gap*busyShare + 0.5)
+	sim.otherPerCons = uint64(gap*(1-busyShare) + 0.5)
 
-	// nextBurstSize yields burst sizes whose running average equals the
-	// (possibly fractional) MLP target.
-	nextBurstSize := func(n *nodeState) int {
-		n.mlpAcc += mlp
-		size := int(n.mlpAcc)
-		if size < 1 {
-			size = 1
-		}
-		n.mlpAcc -= float64(size)
-		return size
-	}
-
-	nodes := make([]*nodeState, p.Nodes)
-	for i := range nodes {
+	sim.nodes = make([]*nodeState, p.Nodes)
+	for i := range sim.nodes {
 		n := &nodeState{arrivals: make(map[mem.BlockAddr]uint64)}
-		n.burstBudget = nextBurstSize(n)
-		nodes[i] = n
+		n.burstBudget = sim.nextBurstSize(n)
+		sim.nodes[i] = n
 	}
 
-	var sys *tse.System
 	if p.TSE != nil {
 		cfg := *p.TSE
 		cfg.Nodes = p.Nodes
-		sys = tse.NewSystem(cfg)
-		for i := 0; i < p.Nodes; i++ {
-			n := nodes[i]
-			sys.Engine(mem.NodeID(i)).SetFetchHandler(func(b mem.BlockAddr) {
+		sim.sys = tse.NewSystem(cfg)
+		for i, n := range sim.nodes {
+			eng := sim.sys.Engine(mem.NodeID(i))
+			n.svb = eng.SVB()
+			eng.SetFetchHandler(func(b mem.BlockAddr) {
 				n.pendingFetches = append(n.pendingFetches, b)
+			})
+			eng.SetDiscardHandler(func(b mem.BlockAddr, _ tse.DiscardReason) {
+				delete(n.arrivals, b)
 			})
 		}
 	}
+	return sim
+}
 
-	res := Result{}
-	var partialHiddenSum float64
-	var bursts, burstConsumptions uint64
-	var segCycles uint64
-	var segCount int
-	prevTotal := uint64(0)
+// nextBurstSize yields burst sizes whose running average equals the
+// (possibly fractional) MLP target.
+func (sim *simulator) nextBurstSize(n *nodeState) int {
+	n.mlpAcc += sim.mlp
+	size := int(n.mlpAcc)
+	if size < 1 {
+		size = 1
+	}
+	n.mlpAcc -= float64(size)
+	return size
+}
 
-	flushBurst := func(n *nodeState) {
-		if len(n.burstLatencies) == 0 {
-			return
+func (sim *simulator) flushBurst(n *nodeState) {
+	if len(n.burstLatencies) == 0 {
+		return
+	}
+	var maxLat uint64
+	for _, l := range n.burstLatencies {
+		if l > maxLat {
+			maxLat = l
 		}
-		var maxLat uint64
-		for _, l := range n.burstLatencies {
-			if l > maxLat {
-				maxLat = l
+	}
+	n.clock += maxLat
+	n.breakdown.CoherentStallCycles += maxLat
+	sim.bursts++
+	sim.burstConsumptions += uint64(len(n.burstLatencies))
+	n.burstLatencies = n.burstLatencies[:0]
+	n.burstBudget = sim.nextBurstSize(n)
+}
+
+func (sim *simulator) totalBreakdown() uint64 {
+	var t uint64
+	for _, n := range sim.nodes {
+		t += n.breakdown.Total()
+	}
+	return t
+}
+
+// event advances the simulation by one trace event.
+func (sim *simulator) event(e trace.Event) {
+	switch e.Kind {
+	case trace.KindWrite:
+		if sim.sys != nil {
+			sim.sys.Write(e)
+		}
+	case trace.KindConsumption:
+		if int(e.Node) >= 0 && int(e.Node) < sim.p.Nodes {
+			sim.consume(sim.nodes[e.Node], e)
+		}
+	}
+}
+
+// consume simulates one consumption by node n.
+func (sim *simulator) consume(n *nodeState, e trace.Event) {
+	lCoh := sim.lCoh
+	sim.res.Consumptions++
+
+	// Non-coherent work preceding the consumption.
+	n.clock += sim.busyPerCons + sim.otherPerCons
+	n.breakdown.BusyCycles += sim.busyPerCons
+	n.breakdown.OtherStallCycles += sim.otherPerCons
+
+	// Determine the consumption's latency.
+	latency := lCoh
+	if sim.sys != nil {
+		n.pendingFetches = n.pendingFetches[:0]
+		covered := sim.sys.Consumption(e)
+		if covered {
+			arrival, ok := n.arrivals[e.Block]
+			delete(n.arrivals, e.Block)
+			if !ok || arrival <= n.clock {
+				latency = sim.lSVB
+				sim.res.FullCovered++
+			} else {
+				remaining := arrival - n.clock
+				if remaining > lCoh {
+					remaining = lCoh
+				}
+				latency = remaining + sim.lSVB
+				if latency > lCoh {
+					latency = lCoh
+				}
+				sim.res.PartialCovered++
+				sim.partialHiddenSum += 1 - float64(remaining)/float64(lCoh)
 			}
 		}
-		n.clock += maxLat
-		n.breakdown.CoherentStallCycles += maxLat
-		bursts++
-		burstConsumptions += uint64(len(n.burstLatencies))
-		n.burstLatencies = n.burstLatencies[:0]
-		n.burstBudget = nextBurstSize(n)
-	}
-
-	totalBreakdown := func() uint64 {
-		var t uint64
-		for _, n := range nodes {
-			t += n.breakdown.Total()
-		}
-		return t
-	}
-
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		switch e.Kind {
-		case trace.KindWrite:
-			if sys != nil {
-				sys.Write(e)
-			}
-		case trace.KindConsumption:
-			if int(e.Node) < 0 || int(e.Node) >= p.Nodes {
+		// Assign arrival times to blocks streamed during this call and
+		// still held (a later fetch of the same call may have evicted one).
+		for k, b := range n.pendingFetches {
+			if !n.svb.Contains(b) {
 				continue
 			}
-			n := nodes[e.Node]
-			res.Consumptions++
-
-			// Non-coherent work preceding the consumption.
-			n.clock += busyPerCons + otherPerCons
-			n.breakdown.BusyCycles += busyPerCons
-			n.breakdown.OtherStallCycles += otherPerCons
-
-			// Determine the consumption's latency.
-			latency := lCoh
-			if sys != nil {
-				n.pendingFetches = n.pendingFetches[:0]
-				covered := sys.Consumption(e)
-				if covered {
-					arrival, ok := n.arrivals[e.Block]
-					delete(n.arrivals, e.Block)
-					if !ok || arrival <= n.clock {
-						latency = lSVB
-						res.FullCovered++
-					} else {
-						remaining := arrival - n.clock
-						if remaining > lCoh {
-							remaining = lCoh
-						}
-						latency = remaining + lSVB
-						if latency > lCoh {
-							latency = lCoh
-						}
-						res.PartialCovered++
-						partialHiddenSum += 1 - float64(remaining)/float64(lCoh)
-					}
-				}
-				// Assign arrival times to blocks streamed during this call.
-				for k, b := range n.pendingFetches {
-					if covered {
-						// Steady-state advance: one retrieval round trip.
-						n.arrivals[b] = n.clock + lCoh
-					} else {
-						// Newly located stream: lookup + forwarding, then
-						// pipelined data delivery.
-						n.arrivals[b] = n.clock + streamStart + uint64(k)*streamSpacing
-					}
-				}
-			}
-
-			if p.Observer != nil {
-				p.Observer(latency)
-			}
-
-			// Issue into the current MLP burst.
-			n.burstLatencies = append(n.burstLatencies, latency)
-			n.burstBudget--
-			if n.burstBudget <= 0 {
-				flushBurst(n)
-			}
-
-			// Segment accounting for confidence intervals.
-			segCount++
-			if segCount >= segSize {
-				cur := totalBreakdown()
-				segCycles = cur - prevTotal
-				prevTotal = cur
-				res.SegmentCycles = append(res.SegmentCycles, segCycles)
-				segCount = 0
+			if covered {
+				// Steady-state advance: one retrieval round trip.
+				n.arrivals[b] = n.clock + lCoh
+			} else {
+				// Newly located stream: lookup + forwarding, then
+				// pipelined data delivery.
+				n.arrivals[b] = n.clock + sim.streamStart + uint64(k)*streamSpacing
 			}
 		}
 	}
-	for _, n := range nodes {
-		flushBurst(n)
-	}
-	if sys != nil {
-		sys.Finish()
+
+	if sim.p.Observer != nil {
+		sim.p.Observer(latency)
 	}
 
-	for _, n := range nodes {
+	// Join the current MLP burst.
+	n.burstLatencies = append(n.burstLatencies, latency)
+	n.burstBudget--
+	if n.burstBudget <= 0 {
+		sim.flushBurst(n)
+	}
+
+	// Segment accounting for confidence intervals.
+	sim.segCount++
+	if sim.segCount >= sim.segSize {
+		cur := sim.totalBreakdown()
+		sim.res.SegmentCycles = append(sim.res.SegmentCycles, cur-sim.prevTotal)
+		sim.prevTotal = cur
+		sim.segCount = 0
+	}
+}
+
+// finish drains the open bursts, flushes the TSE model and returns the
+// result.
+func (sim *simulator) finish() Result {
+	for _, n := range sim.nodes {
+		sim.flushBurst(n)
+	}
+	if sim.sys != nil {
+		sim.sys.Finish()
+	}
+	res := sim.res
+	for _, n := range sim.nodes {
 		res.Breakdown.BusyCycles += n.breakdown.BusyCycles
 		res.Breakdown.OtherStallCycles += n.breakdown.OtherStallCycles
 		res.Breakdown.CoherentStallCycles += n.breakdown.CoherentStallCycles
 	}
 	if res.PartialCovered > 0 {
-		res.PartialLatencyHidden = partialHiddenSum / float64(res.PartialCovered)
+		res.PartialLatencyHidden = sim.partialHiddenSum / float64(res.PartialCovered)
 	}
-	if bursts > 0 {
-		res.MeasuredMLP = float64(burstConsumptions) / float64(bursts)
+	if sim.bursts > 0 {
+		res.MeasuredMLP = float64(sim.burstConsumptions) / float64(sim.bursts)
 	}
-	return res, nil
+	return res
 }
 
 // Consumer adapts SimulateSource to the single-decode fan-out engine in

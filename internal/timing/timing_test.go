@@ -281,6 +281,60 @@ func TestSimulateSourceMatchesSimulate(t *testing.T) {
 	}
 }
 
+// TestArrivalsTrackSVB: a streamed block's arrival time is dropped when the
+// block leaves the SVB, hit or discarded, so the per-node arrivals maps never
+// hold more than the SVBs do. The runs must see evictions and invalidations;
+// an SVB smaller than the lookahead also evicts blocks streamed earlier in
+// the same consumption.
+func TestArrivalsTrackSVB(t *testing.T) {
+	gen := workload.NewOLTP(workload.Config{Nodes: 4, Seed: 7, Scale: 0.05}, "db2")
+	eng := coherence.New(coherence.Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
+	tr, err := eng.RunFrom(gen.Emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, svb := range []int{8, 2} {
+		p := tseParams(4, gen.Timing())
+		p.TSE.SVBEntries = svb
+		checkArrivals(t, tr, p)
+	}
+}
+
+func checkArrivals(t *testing.T, tr *trace.Trace, p Params) {
+	t.Helper()
+	sim := newSimulator(p)
+	for i, e := range tr.Events {
+		sim.event(e)
+		arrivals := 0
+		for _, n := range sim.nodes {
+			arrivals += len(n.arrivals)
+			for b := range n.arrivals {
+				if !n.svb.Contains(b) {
+					t.Fatalf("event %d: arrival kept for %#x, which the SVB does not hold", i, b)
+				}
+			}
+		}
+		if resident := sim.sys.Probe().SVBResident; arrivals > resident {
+			t.Fatalf("event %d: %d arrivals for %d SVB-resident blocks", i, arrivals, resident)
+		}
+	}
+	var evicted, invalidated uint64
+	for n := range sim.nodes {
+		st := sim.sys.Engine(mem.NodeID(n)).SVB().Stats()
+		evicted += st.Evicted
+		invalidated += st.Invalidated
+	}
+	if evicted == 0 || invalidated == 0 {
+		t.Fatalf("run saw %d evictions and %d invalidations, want both", evicted, invalidated)
+	}
+	sim.finish()
+	for n, ns := range sim.nodes {
+		if len(ns.arrivals) != 0 {
+			t.Fatalf("node %d keeps %d arrivals after finish", n, len(ns.arrivals))
+		}
+	}
+}
+
 // failingSource always errors.
 type failingSource struct{}
 

@@ -13,6 +13,11 @@ import (
 // circular storage retains only the most recent Capacity entries, so reads
 // of overwritten offsets fail, which is how a too-small CMOB loses coverage
 // (Figure 10).
+//
+// Storage grows by append as entries arrive, never beyond Capacity, and
+// only then wraps: a System sized for the paper's 1.5 MB ring costs nothing
+// until its nodes actually record misses. Until the first wrap,
+// len(entries) == next.
 type CMOB struct {
 	capacity int // 0 = unlimited
 	entries  []mem.BlockAddr
@@ -20,24 +25,13 @@ type CMOB struct {
 }
 
 // NewCMOB returns a CMOB with the given capacity in entries (0 = unlimited).
-func NewCMOB(capacity int) *CMOB {
-	c := &CMOB{capacity: capacity}
-	if capacity > 0 {
-		c.entries = make([]mem.BlockAddr, capacity)
-	}
-	return c
-}
+func NewCMOB(capacity int) *CMOB { return &CMOB{capacity: capacity} }
 
 // Capacity returns the configured capacity (0 = unlimited).
 func (c *CMOB) Capacity() int { return c.capacity }
 
 // Len returns the number of entries currently retained.
-func (c *CMOB) Len() int {
-	if c.capacity == 0 || c.next < uint64(c.capacity) {
-		return int(c.next)
-	}
-	return c.capacity
-}
+func (c *CMOB) Len() int { return len(c.entries) }
 
 // Appends returns the total number of appends performed.
 func (c *CMOB) Appends() uint64 { return c.next }
@@ -47,7 +41,11 @@ func (c *CMOB) Appends() uint64 { return c.next }
 // entry as a CMOB pointer.
 func (c *CMOB) Append(b mem.BlockAddr) uint64 {
 	offset := c.next
-	if c.capacity == 0 {
+	if c.capacity == 0 || len(c.entries) < c.capacity {
+		if c.capacity > 0 && len(c.entries) == cap(c.entries) && 2*cap(c.entries) > c.capacity {
+			// The last growth step allocates exactly the ring.
+			c.entries = append(make([]mem.BlockAddr, 0, c.capacity), c.entries...)
+		}
 		c.entries = append(c.entries, b)
 	} else {
 		c.entries[offset%uint64(c.capacity)] = b
@@ -58,13 +56,15 @@ func (c *CMOB) Append(b mem.BlockAddr) uint64 {
 
 // resident reports whether the entry at offset is still retained.
 func (c *CMOB) resident(offset uint64) bool {
-	if offset >= c.next {
-		return false
-	}
+	return offset < c.next && c.next-offset <= uint64(len(c.entries))
+}
+
+// slot maps a resident offset onto its index in the storage.
+func (c *CMOB) slot(offset uint64) int {
 	if c.capacity == 0 {
-		return true
+		return int(offset)
 	}
-	return c.next-offset <= uint64(c.capacity)
+	return int(offset % uint64(c.capacity))
 }
 
 // At returns the entry at offset, if still resident.
@@ -72,46 +72,36 @@ func (c *CMOB) At(offset uint64) (mem.BlockAddr, bool) {
 	if !c.resident(offset) {
 		return 0, false
 	}
-	if c.capacity == 0 {
-		return c.entries[offset], true
-	}
-	return c.entries[offset%uint64(c.capacity)], true
+	return c.entries[c.slot(offset)], true
 }
 
-// ReadStream returns up to n addresses starting at the entry *following*
-// offset — the stream that followed the pointed-to miss — together with the
-// offset of the last address returned (so the caller can continue reading
-// when the FIFO runs half empty). It returns a nil slice when the pointed
-// entry has been overwritten or no subsequent entries exist.
-func (c *CMOB) ReadStream(offset uint64, n int) ([]mem.BlockAddr, uint64) {
+// ReadStream appends to dst up to n addresses starting at the entry
+// *following* offset — the stream that followed the pointed-to miss — and
+// returns the extended slice together with the offset of the last address
+// appended (so the caller can continue reading when the FIFO runs half
+// empty). It appends nothing, and returns offset unchanged, when the pointed
+// entry has been overwritten or no subsequent entries exist. A dst with
+// room for n more addresses is extended without allocating.
+func (c *CMOB) ReadStream(dst []mem.BlockAddr, offset uint64, n int) ([]mem.BlockAddr, uint64) {
 	if n <= 0 || !c.resident(offset) {
-		return nil, offset
+		return dst, offset
 	}
-	out := make([]mem.BlockAddr, 0, n)
-	last := offset
-	for i := 0; i < n; i++ {
-		next := offset + 1 + uint64(i)
-		b, ok := c.At(next)
-		if !ok {
-			break
-		}
-		out = append(out, b)
-		last = next
+	// Every entry after a resident one is resident too.
+	if avail := c.next - 1 - offset; uint64(n) > avail {
+		n = int(avail)
 	}
-	if len(out) == 0 {
-		return nil, offset
+	for off := offset + 1; off <= offset+uint64(n); off++ {
+		dst = append(dst, c.entries[c.slot(off)])
 	}
-	return out, last
+	return dst, offset + uint64(n)
 }
 
 // StorageBytes returns the memory footprint of the retained entries using
 // the paper's 6-byte packed entries.
 func (c *CMOB) StorageBytes() int { return c.Len() * CMOBEntryBytes }
 
-// Reset discards all entries.
+// Reset discards all entries, keeping the storage for reuse.
 func (c *CMOB) Reset() {
 	c.next = 0
-	if c.capacity == 0 {
-		c.entries = nil
-	}
+	c.entries = c.entries[:0]
 }

@@ -6,11 +6,13 @@ import (
 	"tsm/internal/stats"
 )
 
-// CMOBReader supplies stream addresses from another node's CMOB: it returns
-// up to n addresses following offset in node's CMOB, plus the offset of the
-// last address returned. The System wires this to the per-node CMOBs and
-// charges interconnect traffic for the transfer.
-type CMOBReader func(node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64)
+// CMOBReader supplies stream addresses from another node's CMOB: it appends
+// to dst up to n addresses following offset in node's CMOB and returns the
+// extended slice plus the offset of the last address appended (offset
+// itself when it appends nothing), as CMOB.ReadStream does. The System
+// wires this to the per-node CMOBs; the engine charges the transfer through
+// its refill handler.
+type CMOBReader func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64)
 
 // EngineStats accumulates per-node stream-engine statistics.
 type EngineStats struct {
@@ -35,10 +37,13 @@ type EngineStats struct {
 // Engine is the per-node stream engine plus SVB (the grey components of
 // Figure 2 other than the CMOB/directory, which the System owns).
 type Engine struct {
-	node    mem.NodeID
-	cfg     Config
-	svb     *SVB
-	queues  []*streamQueue
+	node   mem.NodeID
+	cfg    Config
+	svb    *SVB
+	queues []*streamQueue
+	// spare holds the FIFOs a stream allocation reads into before a queue
+	// slot is chosen; the slot's old FIFOs become the next spare ones.
+	spare   []*streamFIFO
 	nextQID int
 	clock   uint64
 	read    CMOBReader
@@ -80,14 +85,20 @@ func (e *Engine) StreamLengths() *stats.Histogram { return e.streamLengths }
 // SetFetchHandler registers a callback invoked for each streamed block.
 func (e *Engine) SetFetchHandler(fn func(mem.BlockAddr)) { e.onFetch = fn }
 
+// SetDiscardHandler registers a callback invoked for each streamed block
+// that leaves the SVB unused (evicted, invalidated or flushed).
+func (e *Engine) SetDiscardHandler(fn func(mem.BlockAddr, DiscardReason)) {
+	e.svb.SetDiscardHandler(fn)
+}
+
 // SetRefillHandler registers a callback invoked for each CMOB address
 // transfer into this engine.
 func (e *Engine) SetRefillHandler(fn func(mem.NodeID, int)) { e.onRefill = fn }
 
 // Consumption processes a coherent read miss by this node. ptrs are the
-// CMOB pointers the directory returned for the block (newest first).
-// It reports whether the SVB already held the block (the consumption is
-// covered/eliminated).
+// CMOB pointers the directory returned for the block (newest first); they
+// are only read during the call, never retained. It reports whether the SVB
+// already held the block (the consumption is covered/eliminated).
 func (e *Engine) Consumption(b mem.BlockAddr, ptrs []directory.CMOBPointer) bool {
 	e.stats.Consumptions++
 	e.clock++
@@ -178,38 +189,38 @@ func (e *Engine) allocate(head mem.BlockAddr, ptrs []directory.CMOBPointer) {
 	if len(ptrs) == 0 {
 		return
 	}
-	limit := e.cfg.ComparedStreams
-	if limit > len(ptrs) {
-		limit = len(ptrs)
-	}
-	var fifos []*streamFIFO
+	limit := min(e.cfg.ComparedStreams, len(ptrs))
+	n := 0 // FIFOs read so far, e.spare[:n]
 	for _, p := range ptrs[:limit] {
 		if !p.Valid {
 			continue
 		}
-		addrs, last := e.read(p.Node, p.Offset, e.cfg.fifoCapacity())
-		if e.onRefill != nil && len(addrs) > 0 {
-			e.onRefill(p.Node, len(addrs))
+		if n == len(e.spare) {
+			e.spare = append(e.spare, &streamFIFO{buf: make([]mem.BlockAddr, 0, e.cfg.fifoCapacity())})
 		}
-		e.stats.AddressesReceived += uint64(len(addrs))
-		if len(addrs) == 0 {
-			continue
+		f := e.spare[n]
+		f.reset(streamSource{node: p.Node})
+		f.buf, f.source.nextOffset = e.read(f.buf, p.Node, p.Offset, e.cfg.fifoCapacity())
+		got := f.len()
+		if e.onRefill != nil && got > 0 {
+			e.onRefill(p.Node, got)
 		}
-		fifos = append(fifos, &streamFIFO{
-			source: streamSource{node: p.Node, nextOffset: last},
-			addrs:  addrs,
-		})
+		e.stats.AddressesReceived += uint64(got)
+		if got > 0 {
+			n++
+		}
 	}
-	if len(fifos) == 0 {
+	if n == 0 {
 		return
 	}
-	if len(fifos) == 1 && !e.cfg.StreamOnSingle && e.cfg.ComparedStreams > 1 {
+	if n == 1 && !e.cfg.StreamOnSingle && e.cfg.ComparedStreams > 1 {
 		// Ablation: demand a second confirming stream before fetching.
 		return
 	}
 	q := e.acquireQueue()
 	q.head = head
-	q.fifos = fifos
+	q.pool, e.spare = e.spare, q.pool
+	q.fifos = q.pool[:n]
 	q.stalled = false
 	q.outstanding = 0
 	q.hits = 0
@@ -258,7 +269,7 @@ func (e *Engine) retire(q *streamQueue) {
 		e.streamLengths.Add(int(q.hits))
 	}
 	q.active = false
-	q.fifos = nil
+	q.fifos = q.fifos[:0]
 }
 
 // fill streams blocks for a queue until the configured lookahead is
@@ -269,7 +280,7 @@ func (e *Engine) fill(q *streamQueue) {
 		e.refill(q)
 		agreed, agree, any := q.headsAgree()
 		if !any {
-			if len(q.liveFIFOs()) == 0 {
+			if !q.hasLiveFIFO() {
 				e.retire(q)
 			}
 			return
@@ -302,22 +313,22 @@ func (e *Engine) fill(q *streamQueue) {
 func (e *Engine) refill(q *streamQueue) {
 	capacity := e.cfg.fifoCapacity()
 	for _, f := range q.fifos {
-		if f.source.exhausted || len(f.addrs) > capacity/2 {
+		have := f.len()
+		if f.source.exhausted || have > capacity/2 {
 			continue
 		}
-		want := capacity - len(f.addrs)
-		addrs, last := e.read(f.source.node, f.source.nextOffset, want)
+		f.compact()
+		f.buf, f.source.nextOffset = e.read(f.buf, f.source.node, f.source.nextOffset, capacity-have)
 		e.stats.RefillRequests++
-		if len(addrs) == 0 {
+		got := f.len() - have
+		if got == 0 {
 			f.source.exhausted = true
 			continue
 		}
 		if e.onRefill != nil {
-			e.onRefill(f.source.node, len(addrs))
+			e.onRefill(f.source.node, got)
 		}
-		e.stats.AddressesReceived += uint64(len(addrs))
-		f.addrs = append(f.addrs, addrs...)
-		f.source.nextOffset = last
+		e.stats.AddressesReceived += uint64(got)
 	}
 }
 

@@ -15,35 +15,53 @@ type streamSource struct {
 }
 
 // streamFIFO is one of the FIFO queues inside a stream queue. It buffers
-// addresses read from one recent consumer's CMOB.
+// addresses read from one recent consumer's CMOB. The buffered addresses
+// are buf[pos:]; refills move them to the front and append in place, so a
+// FIFO reaches its capacity once and then never allocates again.
 type streamFIFO struct {
 	source streamSource
-	addrs  []mem.BlockAddr
+	buf    []mem.BlockAddr
+	pos    int
 }
 
-func (f *streamFIFO) empty() bool { return len(f.addrs) == 0 }
+// reset empties the FIFO for a new source, keeping its buffer.
+func (f *streamFIFO) reset(src streamSource) {
+	f.source = src
+	f.buf = f.buf[:0]
+	f.pos = 0
+}
+
+// compact moves the buffered addresses to the front of the buffer, so the
+// next read appends into the space that pops freed.
+func (f *streamFIFO) compact() {
+	f.buf = f.buf[:copy(f.buf, f.buf[f.pos:])]
+	f.pos = 0
+}
+
+func (f *streamFIFO) len() int { return len(f.buf) - f.pos }
+
+func (f *streamFIFO) empty() bool { return f.pos == len(f.buf) }
 
 func (f *streamFIFO) head() (mem.BlockAddr, bool) {
-	if len(f.addrs) == 0 {
+	if f.empty() {
 		return 0, false
 	}
-	return f.addrs[0], true
+	return f.buf[f.pos], true
 }
 
 func (f *streamFIFO) pop() (mem.BlockAddr, bool) {
-	if len(f.addrs) == 0 {
-		return 0, false
+	b, ok := f.head()
+	if ok {
+		f.pos++
 	}
-	b := f.addrs[0]
-	f.addrs = f.addrs[1:]
-	return b, true
+	return b, ok
 }
 
 // contains reports whether the FIFO holds the block anywhere (used to let
 // the SVB window tolerate small reorderings: a miss that matches a block a
 // few entries down the FIFO still identifies this stream).
 func (f *streamFIFO) contains(b mem.BlockAddr) int {
-	for i, a := range f.addrs {
+	for i, a := range f.buf[f.pos:] {
 		if a == b {
 			return i
 		}
@@ -53,19 +71,18 @@ func (f *streamFIFO) contains(b mem.BlockAddr) int {
 
 // dropThrough removes entries up to and including index i.
 func (f *streamFIFO) dropThrough(i int) {
-	if i+1 >= len(f.addrs) {
-		f.addrs = f.addrs[:0]
-		return
-	}
-	f.addrs = f.addrs[i+1:]
+	f.pos = min(f.pos+i+1, len(f.buf))
 }
 
 // streamQueue groups the FIFOs fetched for one stream head and tracks the
 // comparison/stall state of Section 3.3.
 type streamQueue struct {
-	id          int
-	head        mem.BlockAddr
+	id   int
+	head mem.BlockAddr
+	// fifos are the FIFOs still compared, a prefix of pool; pool owns
+	// every FIFO the slot has, so a recycled slot reuses them.
 	fifos       []*streamFIFO
+	pool        []*streamFIFO
 	stalled     bool
 	outstanding int    // blocks from this queue currently sitting in the SVB
 	hits        uint64 // SVB hits attributed to this queue (stream length)
@@ -74,16 +91,15 @@ type streamQueue struct {
 	active      bool
 }
 
-// liveFIFOs returns the FIFOs that can still supply addresses (non-empty or
-// refillable).
-func (q *streamQueue) liveFIFOs() []*streamFIFO {
-	var out []*streamFIFO
+// hasLiveFIFO reports whether some FIFO can still supply addresses
+// (non-empty or refillable).
+func (q *streamQueue) hasLiveFIFO() bool {
 	for _, f := range q.fifos {
 		if !f.empty() || !f.source.exhausted {
-			out = append(out, f)
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // headsAgree checks whether every non-empty FIFO agrees on the next address.
@@ -124,8 +140,8 @@ func (q *streamQueue) popAgreed(b mem.BlockAddr) {
 // selectFIFO keeps only the FIFO at index keep, discarding the others'
 // contents (the reselection step after a stall, Section 3.3).
 func (q *streamQueue) selectFIFO(keep int) {
-	chosen := q.fifos[keep]
-	q.fifos = []*streamFIFO{chosen}
+	q.fifos[0], q.fifos[keep] = q.fifos[keep], q.fifos[0]
+	q.fifos = q.fifos[:1]
 }
 
 // matchStalledHead checks whether a processor miss to b matches one of the

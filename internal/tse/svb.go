@@ -30,25 +30,48 @@ type SVBStats struct {
 	Unused      uint64
 }
 
-// svbEntry is one streamed block held by the SVB.
+// svbEntry is one streamed block held by the SVB (keyed by its address).
 type svbEntry struct {
-	block   mem.BlockAddr
-	queue   int // id of the stream queue that streamed it (-1 if unknown)
-	lru     uint64
-	fifoSeq uint64 // insertion order, for FIFO replacement ablation
+	queue int // id of the stream queue that streamed it (-1 if unknown)
+	// age orders replacement: the clock of the last insert or refresh
+	// (LRU), or of the first insert only under FIFO replacement.
+	age uint64
+}
+
+// holderIndex maps every block held by some SVB of a System to the bitmask
+// of the nodes whose SVB holds it. A block held by no SVB has no key, so a
+// write can reach exactly the SVBs that hold the block without probing the
+// others. Nodes are capped at 64 (Config.Validate), one bit each.
+type holderIndex map[mem.BlockAddr]uint64
+
+func (h holderIndex) add(b mem.BlockAddr, bit uint64) { h[b] |= bit }
+
+func (h holderIndex) remove(b mem.BlockAddr, bit uint64) {
+	if m := h[b] &^ bit; m != 0 {
+		h[b] = m
+	} else {
+		delete(h, b)
+	}
 }
 
 // SVB is the Streamed Value Buffer: a small fully-associative buffer holding
 // clean streamed cache blocks, probed in parallel with the L2 on every L1
 // miss (Section 3.3). Entries are invalidated on any write to the block and
 // replaced with an LRU policy.
+//
+// Inside a System every SVB keeps the System's holder index current: it sets
+// its node's bit for a block on insert and clears it on every removal (hit,
+// eviction, invalidation, flush).
 type SVB struct {
 	capacity int // 0 = unlimited
 	fifoRepl bool
-	entries  map[mem.BlockAddr]*svbEntry
+	entries  map[mem.BlockAddr]svbEntry
 	clock    uint64
-	seq      uint64
 	stats    SVBStats
+	// holders, if non-nil, is the System-wide holder index; bit is this
+	// SVB's node bit in it.
+	holders holderIndex
+	bit     uint64
 	// onDiscard, if non-nil, is invoked whenever a block leaves the SVB
 	// without having been hit.
 	onDiscard func(b mem.BlockAddr, reason DiscardReason)
@@ -56,7 +79,7 @@ type SVB struct {
 
 // NewSVB returns an SVB with the given capacity in blocks (0 = unlimited).
 func NewSVB(capacity int) *SVB {
-	return &SVB{capacity: capacity, entries: make(map[mem.BlockAddr]*svbEntry)}
+	return &SVB{capacity: capacity, entries: make(map[mem.BlockAddr]svbEntry)}
 }
 
 // SetFIFOReplacement switches the replacement policy to FIFO (ablation).
@@ -65,6 +88,12 @@ func (s *SVB) SetFIFOReplacement(on bool) { s.fifoRepl = on }
 // SetDiscardHandler registers a callback invoked on every discard.
 func (s *SVB) SetDiscardHandler(fn func(b mem.BlockAddr, reason DiscardReason)) {
 	s.onDiscard = fn
+}
+
+// trackHolders makes the SVB maintain node's bit in a System's holder index.
+func (s *SVB) trackHolders(h holderIndex, node mem.NodeID) {
+	s.holders = h
+	s.bit = 1 << uint(node)
 }
 
 // Capacity returns the configured capacity (0 = unlimited).
@@ -82,7 +111,17 @@ func (s *SVB) Contains(b mem.BlockAddr) bool {
 	return ok
 }
 
-func (s *SVB) discard(e *svbEntry, reason DiscardReason) {
+// remove deletes a held block from the SVB and from the holder index.
+func (s *SVB) remove(b mem.BlockAddr) {
+	delete(s.entries, b)
+	if s.holders != nil {
+		s.holders.remove(b, s.bit)
+	}
+}
+
+// discard removes a held block that leaves unused and counts it.
+func (s *SVB) discard(b mem.BlockAddr, reason DiscardReason) {
+	s.remove(b)
 	s.stats.Discards++
 	switch reason {
 	case DiscardEvicted:
@@ -93,7 +132,7 @@ func (s *SVB) discard(e *svbEntry, reason DiscardReason) {
 		s.stats.Unused++
 	}
 	if s.onDiscard != nil {
-		s.onDiscard(e.block, reason)
+		s.onDiscard(b, reason)
 	}
 }
 
@@ -103,39 +142,36 @@ func (s *SVB) discard(e *svbEntry, reason DiscardReason) {
 // is discarded.
 func (s *SVB) Insert(b mem.BlockAddr, queue int) {
 	s.clock++
-	s.seq++
 	if e, ok := s.entries[b]; ok {
 		e.queue = queue
-		e.lru = s.clock
+		if !s.fifoRepl {
+			e.age = s.clock
+		}
+		s.entries[b] = e
 		return
 	}
 	if s.capacity > 0 && len(s.entries) >= s.capacity {
 		s.evictOne()
 	}
-	s.entries[b] = &svbEntry{block: b, queue: queue, lru: s.clock, fifoSeq: s.seq}
+	s.entries[b] = svbEntry{queue: queue, age: s.clock}
+	if s.holders != nil {
+		s.holders.add(b, s.bit)
+	}
 	s.stats.Inserted++
 }
 
 func (s *SVB) evictOne() {
-	var victim *svbEntry
-	for _, e := range s.entries {
-		if victim == nil {
-			victim = e
-			continue
-		}
-		if s.fifoRepl {
-			if e.fifoSeq < victim.fifoSeq {
-				victim = e
-			}
-		} else if e.lru < victim.lru {
-			victim = e
+	var victim mem.BlockAddr
+	var oldest uint64
+	found := false
+	for b, e := range s.entries {
+		if !found || e.age < oldest {
+			victim, oldest, found = b, e.age, true
 		}
 	}
-	if victim == nil {
-		return
+	if found {
+		s.discard(victim, DiscardEvicted)
 	}
-	delete(s.entries, victim.block)
-	s.discard(victim, DiscardEvicted)
 }
 
 // Hit probes the SVB for a block on a processor access. On a hit the entry
@@ -147,7 +183,7 @@ func (s *SVB) Hit(b mem.BlockAddr) (queue int, ok bool) {
 	if !present {
 		return -1, false
 	}
-	delete(s.entries, b)
+	s.remove(b)
 	s.stats.Hits++
 	return e.queue, true
 }
@@ -155,12 +191,10 @@ func (s *SVB) Hit(b mem.BlockAddr) (queue int, ok bool) {
 // Invalidate removes a block on a write by any processor; the streamed copy
 // is clean so it is simply dropped (and counted as a discard).
 func (s *SVB) Invalidate(b mem.BlockAddr) bool {
-	e, ok := s.entries[b]
-	if !ok {
+	if _, ok := s.entries[b]; !ok {
 		return false
 	}
-	delete(s.entries, b)
-	s.discard(e, DiscardInvalidated)
+	s.discard(b, DiscardInvalidated)
 	return true
 }
 
@@ -168,8 +202,7 @@ func (s *SVB) Invalidate(b mem.BlockAddr) bool {
 // measurement so that blocks streamed but never consumed count against
 // accuracy.
 func (s *SVB) Flush() {
-	for b, e := range s.entries {
-		delete(s.entries, b)
-		s.discard(e, DiscardUnused)
+	for b := range s.entries {
+		s.discard(b, DiscardUnused)
 	}
 }

@@ -3,6 +3,7 @@ package tse
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"tsm/internal/directory"
 	"tsm/internal/mem"
@@ -102,11 +103,17 @@ func (r Result) String() string {
 //
 // System implements the model interface used by internal/analysis, so it can
 // be evaluated side by side with the baseline prefetchers of Figure 12.
+//
+// The System keeps one holder index shared by all its SVBs: for each block
+// some SVB holds, the bitmask of the holding nodes. A write invalidates the
+// streamed copies that exist (Section 3.3) by visiting exactly those nodes,
+// so its cost does not grow with the node count.
 type System struct {
 	cfg     Config
 	cmobs   []*CMOB
 	engines []*Engine
 	dir     *directory.Directory
+	holders holderIndex
 	traffic Traffic
 	peak    int
 }
@@ -117,7 +124,7 @@ func NewSystem(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg}
+	s := &System{cfg: cfg, holders: make(holderIndex)}
 	s.dir = directory.New(directory.Config{
 		Nodes:            cfg.Nodes,
 		Geometry:         cfg.Geometry,
@@ -125,8 +132,8 @@ func NewSystem(cfg Config) *System {
 	})
 	s.cmobs = make([]*CMOB, cfg.Nodes)
 	s.engines = make([]*Engine, cfg.Nodes)
-	read := func(node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
-		return s.cmobs[node].ReadStream(offset, n)
+	read := func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
+		return s.cmobs[node].ReadStream(dst, offset, n)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		s.cmobs[i] = NewCMOB(cfg.CMOBEntries)
@@ -135,9 +142,7 @@ func NewSystem(cfg Config) *System {
 			s.traffic.StreamRequestBytes += requestMessageBytes
 			s.traffic.StreamAddressBytes += uint64(addresses) * CMOBEntryBytes
 		})
-		e.SVB().SetDiscardHandler(func(b mem.BlockAddr, reason DiscardReason) {
-			s.traffic.DiscardedDataBytes += uint64(cfg.Geometry.BlockSize + dataHeaderBytes + requestMessageBytes)
-		})
+		e.SVB().trackHolders(s.holders, mem.NodeID(i))
 		s.engines[i] = e
 	}
 	return s
@@ -167,8 +172,12 @@ func (s *System) consume(node mem.NodeID, block mem.BlockAddr) bool {
 	}
 
 	// The directory lookup happens on the miss path; the engine only uses
-	// the pointers if the SVB misses.
-	ptrs := s.dir.CMOBPointers(block)
+	// the pointers if the SVB misses, and only during the call, so it reads
+	// the entry's own slice before RecordCMOBPointer reorders it.
+	var ptrs []directory.CMOBPointer
+	if de := s.dir.Lookup(block); de != nil {
+		ptrs = de.CMOBPtrs
+	}
 	covered := s.engines[node].Consumption(block, ptrs)
 
 	// Record the consumption in the node's CMOB (useful streamed hits are
@@ -194,10 +203,11 @@ func (s *System) consume(node mem.NodeID, block mem.BlockAddr) bool {
 func (s *System) Write(e trace.Event) { s.writeBlock(e.Block) }
 
 // writeBlock is the write inner loop, shared by the per-event path and
-// RunColumns.
+// RunColumns. It visits only the nodes whose SVB holds the block, in
+// ascending order; Write on any other engine would be a no-op.
 func (s *System) writeBlock(block mem.BlockAddr) {
-	for _, eng := range s.engines {
-		eng.Write(block)
+	for m := s.holders[block]; m != 0; m &= m - 1 {
+		s.engines[bits.TrailingZeros64(m)].Write(block)
 	}
 }
 
@@ -240,6 +250,8 @@ func (s *System) Finish() Result {
 		}
 	}
 	res.Traffic = s.traffic
+	// Every discarded block cost one streamed data transfer.
+	res.Traffic.DiscardedDataBytes = res.Discards * uint64(s.cfg.Geometry.BlockSize+dataHeaderBytes+requestMessageBytes)
 	res.CMOBPeakBytes = s.peak
 	return res
 }
