@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"tsm/internal/analysis"
 	"tsm/internal/timing"
 )
 
@@ -27,8 +26,6 @@ func Table3(w *Workspace) (Table, error) {
 		}
 		prof := data.Generator.Timing()
 		cfg := paperTSEConfig(w, prof.Lookahead)
-		traceCov, _ := analysis.EvaluateTSE(cfg, data.Trace)
-
 		tseRes, err := timing.Simulate(data.Trace, timing.Params{
 			System: w.System(), Profile: prof, Nodes: w.Options().Nodes, TSE: &cfg,
 		})
@@ -37,7 +34,7 @@ func Table3(w *Workspace) (Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			name,
-			pct(traceCov.Coverage()),
+			pct(tseRes.TSE.Coverage()),
 			fmt.Sprintf("%.1f", prof.MLP),
 			fmt.Sprintf("%d", prof.Lookahead),
 			pct(tseRes.FullCoverage()),

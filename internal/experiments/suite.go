@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"tsm/internal/analysis"
 	"tsm/internal/timing"
 )
 
@@ -28,15 +27,13 @@ func Suite(w *Workspace) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		cfg := paperTSEConfig(w, data.Generator.Timing().Lookahead)
-		cov, _ := analysis.EvaluateTSE(cfg, data.Trace)
-
 		base, withTSE, err := simulatePair(w, data)
 		if err != nil {
 			return Table{}, err
 		}
 		speedup := timing.Speedup(base, withTSE)
 		_, ci := timing.SpeedupConfidence(base, withTSE)
+		cov := withTSE.TSE
 
 		t.Rows = append(t.Rows, []string{
 			name,

@@ -141,6 +141,8 @@ type Writer struct {
 	count   uint64
 	perCh   int
 	version byte
+	nodes   uint64     // Meta.Nodes, which every event's node must be below
+	chunks  int        // chunks flushed so far
 	off     int64      // bytes emitted so far (header + flushed chunks)
 	index   []ChunkRef // offset/count per flushed chunk (version ≥ 3)
 	closed  bool
@@ -177,13 +179,15 @@ func NewWriterVersion(w io.Writer, meta Meta, version byte) (*Writer, error) {
 	if _, err := bw.Write(hdr); err != nil {
 		return nil, fmt.Errorf("stream: writing header: %w", err)
 	}
-	return &Writer{w: bw, perCh: DefaultChunkEvents, version: version, off: int64(len(hdr))}, nil
+	return &Writer{w: bw, perCh: DefaultChunkEvents, version: version, nodes: uint64(meta.Nodes), off: int64(len(hdr))}, nil
 }
 
 // Write implements Sink. The event's Seq field is not stored. The count is
 // only advanced once the event is safely buffered AND any chunk flush it
 // triggered succeeded, so after a write error Count() agrees with what
-// actually hit the wire instead of drifting ahead of it.
+// actually hit the wire instead of drifting ahead of it. An event whose
+// kind is unknown or whose node or producer is outside [0, Meta.Nodes) fails
+// the flush of its chunk with ErrCorrupt, as a reader would.
 func (w *Writer) Write(e trace.Event) error {
 	if w.err != nil {
 		return w.err
@@ -211,18 +215,27 @@ func (w *Writer) flushChunk() error {
 	buf := w.scratch[:0]
 	buf = binary.AppendUvarint(buf, uint64(len(w.chunk)))
 	prev := uint64(0)
+	c := eventCheck{nodes: w.nodes, chunk: w.chunks}
 	for _, e := range w.chunk {
+		// Refuse an event the readers would reject, so that every file
+		// written can be read back.
+		node, prod := uint64(e.Node), uint64(int64(e.Producer)+1)
+		if err := c.check(byte(e.Kind), node, prod, w.off+int64(len(buf))); err != nil {
+			w.err = fmt.Errorf("stream: refusing to write an unreadable event: %w", err)
+			return w.err
+		}
 		buf = append(buf, byte(e.Kind))
-		buf = binary.AppendUvarint(buf, uint64(e.Node))
+		buf = binary.AppendUvarint(buf, node)
 		buf = binary.AppendVarint(buf, int64(uint64(e.Block)-prev))
 		prev = uint64(e.Block)
-		buf = binary.AppendUvarint(buf, uint64(int64(e.Producer)+1))
+		buf = binary.AppendUvarint(buf, prod)
 	}
 	if w.version >= Version {
 		w.index = append(w.index, ChunkRef{Offset: w.off, Events: uint64(len(w.chunk))})
 	}
 	w.scratch = buf[:0]
 	w.chunk = w.chunk[:0]
+	w.chunks++
 	if _, err := w.w.Write(buf); err != nil {
 		w.err = fmt.Errorf("stream: writing chunk: %w", err)
 		return w.err
@@ -478,7 +491,7 @@ func (r *Reader) readChunk() error {
 		r.chunk = make([]trace.Event, 0, n)
 	}
 	r.pos = 0
-	r.chunk, err = appendChunkEvents(r.r, n, r.chunk[:0])
+	r.chunk, err = appendChunkEvents(r.r, n, eventCheck{nodes: uint64(r.meta.Nodes), chunk: int(r.chunks)}, r.chunk[:0])
 	if err != nil {
 		return err
 	}
@@ -553,12 +566,49 @@ func (r *Reader) verifyFooter() error {
 	return nil
 }
 
-// appendChunkEvents decodes n delta-reset events from r, appending them to
-// dst. It is shared between the streaming Reader and the parallel per-chunk
-// decoder.
-func appendChunkEvents(r io.ByteReader, n uint64, dst []trace.Event) ([]trace.Event, error) {
+// eventCheck validates decoded events against the stream's metadata. Every
+// decode path — the streaming Reader, the indexed parallel reader and the
+// batch struct-of-arrays walk, mmap-backed or not — runs each event through
+// check, so they accept and reject exactly the same files, and no model
+// downstream sees a node it has no state for.
+type eventCheck struct {
+	nodes uint64 // the stream's node count (Meta.Nodes)
+	chunk int    // index of the chunk being decoded
+}
+
+// check returns nil for an event whose kind is known and whose node and
+// producer (encoded +1, 0 for none) are below the stream's node count, and
+// otherwise a wrapped ErrCorrupt naming the chunk and the event's byte
+// offset in the stream.
+func (c eventCheck) check(kind byte, node, prod uint64, offset int64) error {
+	if kind <= byte(trace.KindReadMiss) && node < c.nodes && prod <= c.nodes {
+		return nil
+	}
+	return c.reject(kind, node, prod, offset)
+}
+
+// reject builds check's error, out of line so that check inlines into the
+// decode loops.
+func (c eventCheck) reject(kind byte, node, prod uint64, offset int64) error {
+	var what string
+	switch {
+	case kind > byte(trace.KindReadMiss):
+		what = fmt.Sprintf("unknown event kind %d", kind)
+	case node >= c.nodes:
+		what = fmt.Sprintf("node %d outside [0,%d)", node, c.nodes)
+	default:
+		what = fmt.Sprintf("producer %d outside [0,%d)", prod-1, c.nodes)
+	}
+	return fmt.Errorf("%w: chunk %d, event at offset %d: %s", ErrCorrupt, c.chunk, offset, what)
+}
+
+// appendChunkEvents decodes and checks n delta-reset events from r,
+// appending them to dst. It is the streaming Reader's decoder; the indexed
+// paths use appendChunkSoA.
+func appendChunkEvents(r *posReader, n uint64, c eventCheck, dst []trace.Event) ([]trace.Event, error) {
 	prev := uint64(0)
 	for i := uint64(0); i < n; i++ {
+		start := r.n
 		kind, err := r.ReadByte()
 		if err != nil {
 			return dst, fmt.Errorf("stream: reading event kind: %w", errTrunc(err))
@@ -575,6 +625,9 @@ func appendChunkEvents(r io.ByteReader, n uint64, dst []trace.Event) ([]trace.Ev
 		prod, err := binary.ReadUvarint(r)
 		if err != nil {
 			return dst, fmt.Errorf("stream: reading event producer: %w", errTrunc(err))
+		}
+		if err := c.check(kind, node, prod, start); err != nil {
+			return dst, err
 		}
 		dst = append(dst, trace.Event{
 			Kind:     trace.EventKind(kind),

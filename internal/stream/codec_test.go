@@ -121,7 +121,7 @@ func TestCodecBadMagic(t *testing.T) {
 }
 
 func TestCodecVersionMismatch(t *testing.T) {
-	data := encode(t, randomTrace(10, 1), Meta{Nodes: 4, Scale: 1, Seed: 1})
+	data := encode(t, randomTrace(10, 1), Meta{Nodes: 16, Scale: 1, Seed: 1})
 	data[4] = Version + 8
 	_, err := NewReader(bytes.NewReader(data))
 	if !errors.Is(err, ErrVersion) {
@@ -184,7 +184,7 @@ func appendUvarintLen(v uint64) []byte {
 func TestCodecCorruptTrailer(t *testing.T) {
 	tr := randomTrace(5, 13)
 	// Version 2, where the trailer is the last varint of the stream.
-	data := encodeV(t, tr, Meta{Nodes: 4, Scale: 1, Seed: 1}, VersionNoIndex)
+	data := encodeV(t, tr, Meta{Nodes: 16, Scale: 1, Seed: 1}, VersionNoIndex)
 	data[len(data)-1]++ // 5 fits in one byte
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -331,7 +331,7 @@ func TestWriterCountStopsOnFlushError(t *testing.T) {
 	// The writer buffers through bufio, so enough events are needed to
 	// force underlying writes.
 	fw := &failAfterWriter{n: 64}
-	w, err := NewWriter(fw, Meta{Nodes: 4, Scale: 1, Seed: 1})
+	w, err := NewWriter(fw, Meta{Nodes: 16, Scale: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestWriterCountStopsOnFlushError(t *testing.T) {
 // layout older readers understand, and the current reader decodes it.
 func TestCodecV2RoundTrip(t *testing.T) {
 	tr := randomTrace(2*DefaultChunkEvents+5, 31)
-	meta := Meta{Workload: "apache", Nodes: 8, Scale: 0.5, Seed: 3, Repeat: 2}
+	meta := Meta{Workload: "apache", Nodes: 16, Scale: 0.5, Seed: 3, Repeat: 2}
 	data := encodeV(t, tr, meta, VersionNoIndex)
 	if bytes.Equal(data[len(data)-4:], IndexMagic[:]) {
 		t.Fatal("version 2 stream must not carry a chunk-index footer")
@@ -388,6 +388,53 @@ func TestCodecV2RoundTrip(t *testing.T) {
 	}
 	if _, err := NewWriterVersion(io.Discard, meta, Version+1); !errors.Is(err, ErrVersion) {
 		t.Fatal("NewWriterVersion must reject unknown versions")
+	}
+}
+
+// TestWriterRefusesUnreadableEvents: the Writer runs the readers' event
+// check, so an event they would reject fails the write of its chunk with
+// the same ErrCorrupt, the error latches, and no readable file results.
+func TestWriterRefusesUnreadableEvents(t *testing.T) {
+	good := trace.Event{Kind: trace.KindConsumption, Node: 1, Block: 0x40, Producer: 0}
+	for _, tc := range []struct {
+		name string
+		meta Meta
+		bad  trace.Event
+		msg  string
+	}{
+		{"node", Meta{Nodes: 4}, trace.Event{Kind: trace.KindWrite, Node: 4, Producer: mem.InvalidNode}, "chunk 1, event at offset 35: node 4 outside [0,4)"},
+		{"negative node", Meta{Nodes: 4}, trace.Event{Kind: trace.KindWrite, Node: -1, Producer: mem.InvalidNode}, "node 18446744073709551615 outside [0,4)"},
+		{"producer", Meta{Nodes: 4}, trace.Event{Kind: trace.KindConsumption, Node: 1, Producer: 4}, "producer 4 outside [0,4)"},
+		{"kind", Meta{Nodes: 4}, trace.Event{Kind: 7, Node: 1, Producer: mem.InvalidNode}, "unknown event kind 7"},
+		{"no nodes", Meta{}, good, "chunk 0, event at offset 25: node 1 outside [0,0)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf, tc.meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.perCh = 2
+			for _, e := range []trace.Event{good, good, tc.bad} {
+				if err = w.Write(e); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				err = w.Close()
+			}
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("err = %v, want ErrCorrupt with %q", err, tc.msg)
+			}
+			if w.Write(good) == nil || w.Close() == nil {
+				t.Fatal("the refusal must latch")
+			}
+			if r, err := NewReader(bytes.NewReader(buf.Bytes())); err == nil {
+				if _, err := Collect(r); err == nil {
+					t.Fatal("the refused stream reads back")
+				}
+			}
+		})
 	}
 }
 

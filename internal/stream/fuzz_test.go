@@ -50,9 +50,9 @@ func FuzzDecode(f *testing.F) {
 		{Kind: trace.KindConsumption, Node: 3, Block: 0x2000, Producer: 2},
 	}
 	f.Add(encodeEvents(f, meta, events, 0))
-	f.Add(encodeEvents(f, meta, events, 2))       // multi-chunk
-	f.Add(encodeEvents(f, meta, nil, 0))          // empty stream
-	f.Add(encodeEvents(f, Meta{}, events[:1], 0)) // anonymous trace
+	f.Add(encodeEvents(f, meta, events, 2))               // multi-chunk
+	f.Add(encodeEvents(f, meta, nil, 0))                  // empty stream
+	f.Add(encodeEvents(f, Meta{Nodes: 1}, events[:1], 0)) // no workload name
 	valid := encodeEvents(f, meta, events, 0)
 	f.Add(valid[:len(valid)-3])           // truncated trailer
 	f.Add(valid[:9])                      // truncated metadata
@@ -109,7 +109,7 @@ func collectSoA(data []byte) ([]trace.Event, error) {
 	ra := bytes.NewReader(data)
 	size := int64(len(data))
 	pr := &posReader{r: bufio.NewReader(io.NewSectionReader(ra, 0, size))}
-	_, version, err := parseHeader(pr)
+	meta, version, err := parseHeader(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -126,12 +126,12 @@ func collectSoA(data []byte) ([]trace.Event, error) {
 		region  []byte
 		soa     ChunkSoA
 	)
-	for _, ref := range ix.Chunks {
+	for i, ref := range ix.Chunks {
 		if region, scratch, err = readChunkRegion(ra, ref, scratch); err != nil {
 			return events, err
 		}
 		soa.Reset()
-		if err = decodeChunkRegion(region, ref, &soa); err != nil {
+		if err = decodeChunkRegion(region, ref, eventCheck{nodes: uint64(meta.Nodes), chunk: i}, &soa); err != nil {
 			return events, err
 		}
 		events = soa.AppendTo(events)

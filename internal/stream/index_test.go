@@ -192,7 +192,7 @@ func TestParallelDecodeRange(t *testing.T) {
 // seeking open must fail with ErrNoIndex so callers fall back to serial.
 func TestOpenIndexedRejectsOldVersions(t *testing.T) {
 	tr := randomTrace(100, 3)
-	data := encodeV(t, tr, Meta{Nodes: 4, Scale: 1, Seed: 1}, VersionNoIndex)
+	data := encodeV(t, tr, Meta{Nodes: 16, Scale: 1, Seed: 1}, VersionNoIndex)
 	if _, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{}); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("err = %v, want ErrNoIndex", err)
 	}
@@ -353,7 +353,7 @@ func TestParallelDecodeEarlyClose(t *testing.T) {
 // its ErrNoIndex fallback contract for a v2 file.
 func TestFileReaderParallel(t *testing.T) {
 	tr := randomTrace(3*DefaultChunkEvents+7, 19)
-	meta := Meta{Workload: "apache", Nodes: 8, Scale: 0.5, Seed: 3}
+	meta := Meta{Workload: "apache", Nodes: 16, Scale: 0.5, Seed: 3}
 	dir := t.TempDir()
 	path := dir + "/t.tsm"
 	if _, err := WriteFile(path, meta, TraceSource(tr)); err != nil {

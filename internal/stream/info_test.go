@@ -45,7 +45,7 @@ func TestDescribeUnindexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriterVersion(f, Meta{Nodes: 4, Scale: 1, Seed: 1}, VersionNoIndex)
+	w, err := NewWriterVersion(f, Meta{Nodes: 16, Scale: 1, Seed: 1}, VersionNoIndex)
 	if err != nil {
 		t.Fatal(err)
 	}

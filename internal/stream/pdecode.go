@@ -81,8 +81,9 @@ type ParallelReader struct {
 }
 
 type job struct {
-	ref ChunkRef
-	out chan chunkResult
+	ref   ChunkRef
+	chunk int // index of ref in the chunk index
+	out   chan chunkResult
 }
 
 type chunkResult struct {
@@ -154,7 +155,7 @@ func OpenIndexed(ra io.ReaderAt, size int64, opt ParallelOptions) (*ParallelRead
 	if workers <= 0 {
 		workers = Workers(0)
 	}
-	sel := selectChunks(index, opt.From, opt.To)
+	first, sel := selectChunks(index, opt.From, opt.To)
 	// The window bounds in-flight chunks (decoded-but-unconsumed); a little
 	// beyond the worker count keeps workers from idling on a slow consumer.
 	window := workers + 2
@@ -171,12 +172,13 @@ func OpenIndexed(ra io.ReaderAt, size int64, opt ParallelOptions) (*ParallelRead
 	for i := 0; i < workers; i++ {
 		go r.worker(i, ra, jobs, opt)
 	}
-	go r.dispatch(sel, jobs, opt)
+	go r.dispatch(first, sel, jobs, opt)
 	return r, nil
 }
 
-// selectChunks returns the chunks overlapping the event range [from, to).
-func selectChunks(ix *Index, from, to uint64) []ChunkRef {
+// selectChunks returns the chunks overlapping the event range [from, to)
+// and the index of the first.
+func selectChunks(ix *Index, from, to uint64) (int, []ChunkRef) {
 	lo, hi := 0, len(ix.Chunks)
 	for lo < hi && ix.Chunks[lo].Start+ix.Chunks[lo].Events <= from {
 		lo++
@@ -186,17 +188,17 @@ func selectChunks(ix *Index, from, to uint64) []ChunkRef {
 			hi--
 		}
 	}
-	return ix.Chunks[lo:hi]
+	return lo, ix.Chunks[lo:hi]
 }
 
 // dispatch feeds chunk refs to the workers in stream order, enqueueing each
 // chunk's result channel onto the bounded window first so the consumer sees
 // chunks in exactly index order regardless of which worker finishes when.
-func (r *ParallelReader) dispatch(sel []ChunkRef, jobs chan<- job, opt ParallelOptions) {
+func (r *ParallelReader) dispatch(first int, sel []ChunkRef, jobs chan<- job, opt ParallelOptions) {
 	defer r.wg.Done()
 	defer close(r.results)
 	defer close(jobs)
-	for _, ref := range sel {
+	for i, ref := range sel {
 		out := make(chan chunkResult, 1)
 		select {
 		case r.results <- out:
@@ -204,7 +206,7 @@ func (r *ParallelReader) dispatch(sel []ChunkRef, jobs chan<- job, opt ParallelO
 			return
 		}
 		select {
-		case jobs <- job{ref: ref, out: out}:
+		case jobs <- job{ref: ref, chunk: first + i, out: out}:
 		case <-r.stop:
 			out <- chunkResult{err: errReaderClosed}
 			return
@@ -244,7 +246,7 @@ func (r *ParallelReader) worker(id int, ra io.ReaderAt, jobs <-chan job, opt Par
 		var region []byte
 		region, scratch, res.err = readChunkRegion(ra, jb.ref, scratch)
 		if res.err == nil {
-			res.err = decodeChunkRegion(region, jb.ref, soa)
+			res.err = decodeChunkRegion(region, jb.ref, eventCheck{nodes: uint64(r.meta.Nodes), chunk: jb.chunk}, soa)
 		}
 		if res.err == nil {
 			res.hi = soa.Len()

@@ -141,19 +141,22 @@ type SoASource interface {
 	NextChunkSoA() (*ChunkSoA, error)
 }
 
-// appendChunkSoA batch-decodes n delta-reset events from the fully buffered
-// region, starting at byte offset pos, appending them to dst with sequence
-// numbers startSeq, startSeq+1, ... It returns the byte offset after the
-// last event. The decode is index-based — no io.ByteReader dispatch — with
-// single-byte fast paths for the varint fields (the common case: node and
-// producer IDs are small, and delta encoding keeps most block deltas short).
+// appendChunkSoA batch-decodes and checks the ref.Events delta-reset events
+// of chunk ref from the fully buffered region (which starts at the chunk's
+// stream offset), starting at byte offset pos, appending them to dst with
+// sequence numbers ref.Start, ref.Start+1, ... It returns the byte offset
+// after the last event. The decode is index-based — no io.ByteReader
+// dispatch — with single-byte fast paths for the varint fields (the common
+// case: node and producer IDs are small, and delta encoding keeps most block
+// deltas short).
 // Error mapping matches the serial reader's errTrunc contract exactly:
 // running off the region is a wrapped ErrTruncated, a varint overflowing 64
 // bits is a wrapped ErrCorrupt.
-func appendChunkSoA(region []byte, pos int, n uint64, startSeq uint64, dst *ChunkSoA) (int, error) {
-	dst.Grow(int(n))
+func appendChunkSoA(region []byte, pos int, ref ChunkRef, c eventCheck, dst *ChunkSoA) (int, error) {
+	dst.Grow(int(ref.Events))
 	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < ref.Events; i++ {
+		start := pos
 		if pos >= len(region) {
 			return pos, fmt.Errorf("stream: reading event kind: %w", ErrTruncated)
 		}
@@ -197,8 +200,11 @@ func appendChunkSoA(region []byte, pos int, n uint64, startSeq uint64, dst *Chun
 			}
 			prod, pos = v, pos+w
 		}
+		if err := c.check(kind, node, prod, ref.Offset+int64(start)); err != nil {
+			return pos, err
+		}
 
-		dst.Seq = append(dst.Seq, startSeq+i)
+		dst.Seq = append(dst.Seq, ref.Start+i)
 		dst.Kind = append(dst.Kind, trace.EventKind(kind))
 		dst.Node = append(dst.Node, mem.NodeID(node))
 		dst.Block = append(dst.Block, mem.BlockAddr(prev))
@@ -220,11 +226,12 @@ func varintErr(w int, field string) error {
 
 // decodeChunkRegion decodes the single chunk whose encoded bytes fill
 // region (count prefix included) into dst, stamping sequence numbers from
-// the chunk's index position. The decoded count must match the index and
-// the events must consume the region exactly, so an index entry seeded
-// mid-chunk or into arbitrary bytes fails with ErrCorrupt/ErrTruncated
-// instead of yielding a silently different stream.
-func decodeChunkRegion(region []byte, ref ChunkRef, dst *ChunkSoA) error {
+// the chunk's index position and checking every event (see eventCheck).
+// The decoded count must match the index and the events must consume the
+// region exactly, so an index entry seeded mid-chunk or into arbitrary bytes
+// fails with ErrCorrupt/ErrTruncated instead of yielding a silently
+// different stream.
+func decodeChunkRegion(region []byte, ref ChunkRef, c eventCheck, dst *ChunkSoA) error {
 	n, w := binary.Uvarint(region)
 	if w == 0 {
 		return fmt.Errorf("stream: reading chunk count: %w", ErrTruncated)
@@ -235,7 +242,7 @@ func decodeChunkRegion(region []byte, ref ChunkRef, dst *ChunkSoA) error {
 	if n != ref.Events {
 		return fmt.Errorf("%w: chunk at offset %d holds %d events, index says %d", ErrCorrupt, ref.Offset, n, ref.Events)
 	}
-	pos, err := appendChunkSoA(region, w, n, ref.Start, dst)
+	pos, err := appendChunkSoA(region, w, ref, c, dst)
 	if err != nil {
 		return err
 	}

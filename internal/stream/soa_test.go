@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"tsm/internal/mem"
 	"tsm/internal/trace"
 )
 
@@ -108,8 +109,9 @@ func chunkRegion(count uint64, body ...byte) []byte {
 
 // TestBatchDecodeErrorMapping pins the batch decoder's error taxonomy to the
 // serial reader's errTrunc contract: running off the region mid-varint is
-// ErrTruncated, a varint overflowing 64 bits is ErrCorrupt, and any
-// count/extent disagreement with the index is ErrCorrupt.
+// ErrTruncated, a varint overflowing 64 bits is ErrCorrupt, any
+// count/extent disagreement with the index is ErrCorrupt, and so is an
+// event out of range for the stream's four nodes, named by chunk and offset.
 func TestBatchDecodeErrorMapping(t *testing.T) {
 	overlong := bytes.Repeat([]byte{0x80}, 9) // + terminator = 10 bytes, > 64 bits
 	cases := []struct {
@@ -131,12 +133,15 @@ func TestBatchDecodeErrorMapping(t *testing.T) {
 		{"producer cut mid-varint", chunkRegion(1, 0x01, 0x00, 0x00, 0x80), 1, ErrTruncated, "event producer"},
 		{"producer overflows", chunkRegion(1, append([]byte{0x01, 0x00, 0x00}, append(overlong, 0x80, 0x02)...)...), 1, ErrCorrupt, "varint overflows"},
 		{"region longer than extent", chunkRegion(1, 0x01, 0x00, 0x00, 0x00, 0xff), 1, ErrCorrupt, "longer than its index extent"},
+		{"unknown kind", chunkRegion(1, 0x03, 0x00, 0x00, 0x00), 1, ErrCorrupt, "chunk 5, event at offset 31: unknown event kind 3"},
+		{"node out of range", chunkRegion(1, 0x00, 0x04, 0x00, 0x00), 1, ErrCorrupt, "chunk 5, event at offset 31: node 4 outside [0,4)"},
+		{"producer out of range", chunkRegion(2, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x05), 2, ErrCorrupt, "chunk 5, event at offset 35: producer 4 outside [0,4)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var dst ChunkSoA
 			ref := ChunkRef{Offset: 30, Length: int64(len(tc.region)), Events: tc.events}
-			err := decodeChunkRegion(tc.region, ref, &dst)
+			err := decodeChunkRegion(tc.region, ref, eventCheck{nodes: 4, chunk: 5}, &dst)
 			if err == nil {
 				t.Fatalf("decodeChunkRegion accepted %x", tc.region)
 			}
@@ -152,7 +157,7 @@ func TestBatchDecodeErrorMapping(t *testing.T) {
 	// The happy path the cases above are one byte away from.
 	var dst ChunkSoA
 	region := chunkRegion(1, 0x01, 0x02, 0x04, 0x03)
-	if err := decodeChunkRegion(region, ChunkRef{Length: int64(len(region)), Events: 1, Start: 9}, &dst); err != nil {
+	if err := decodeChunkRegion(region, ChunkRef{Length: int64(len(region)), Events: 1, Start: 9}, eventCheck{nodes: 4}, &dst); err != nil {
 		t.Fatal(err)
 	}
 	want := trace.Event{Seq: 9, Kind: 1, Node: 2, Block: 2, Producer: 2}
@@ -235,7 +240,7 @@ func readFuzzCorpus(t *testing.T, path string) []byte {
 // zero-copy Region fast path is bounds-checked.
 func TestMmapReadAtParity(t *testing.T) {
 	tr := randomTrace(500, 1)
-	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 4}, 64)
+	data := encodeChunked(t, tr, Meta{Workload: "db2", Nodes: 16}, 64)
 	path := filepath.Join(t.TempDir(), "trace.tsm")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
@@ -331,4 +336,85 @@ func TestParallelDecodeMmapMatchesReadAt(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDecodersRejectOutOfRangeEvents: an event whose node or producer is not
+// below the header's node count, or whose kind is unknown, fails the serial
+// reader, the parallel reader and the batch SoA walk with the same
+// ErrCorrupt, naming the chunk index and the event's byte offset.
+func TestDecodersRejectOutOfRangeEvents(t *testing.T) {
+	meta := Meta{Workload: "db2", Nodes: 4, Scale: 0.25, Seed: 7}
+	good := trace.Event{Kind: trace.KindConsumption, Node: 3, Block: 0x40, Producer: 3}
+	for _, tc := range []struct {
+		name string
+		bad  trace.Event
+		msg  string
+	}{
+		{"node", trace.Event{Kind: trace.KindWrite, Node: 4, Block: 0x40, Producer: mem.InvalidNode}, "node 4 outside [0,4)"},
+		{"producer", trace.Event{Kind: trace.KindConsumption, Node: 1, Block: 0x40, Producer: 4}, "producer 4 outside [0,4)"},
+		{"kind", trace.Event{Kind: 7, Node: 1, Block: 0x40, Producer: mem.InvalidNode}, "unknown event kind 7"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Chunks of two events: the bad one is the first of chunk 2.
+			data := encodeRejected(t, meta, []trace.Event{good, good, good, good, tc.bad, good}, 4)
+			_, serialErr := Collect(mustReader(t, data))
+			pr, err := OpenIndexed(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, parallelErr := Collect(pr)
+			pr.Close()
+			_, soaErr := collectSoA(data)
+			for _, err := range []error{serialErr, parallelErr, soaErr} {
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "chunk 2, event at offset") || !strings.Contains(err.Error(), tc.msg) {
+					t.Fatalf("err = %v, want ErrCorrupt naming chunk 2 and %q", err, tc.msg)
+				}
+			}
+			if serialErr.Error() != parallelErr.Error() || serialErr.Error() != soaErr.Error() {
+				t.Fatalf("decoders disagree:\nserial   %v\nparallel %v\nsoa      %v", serialErr, parallelErr, soaErr)
+			}
+		})
+	}
+}
+
+// encodeRejected encodes events in chunks of two like encodeEvents, except
+// that events[at], which must start a chunk, is written as a valid
+// placeholder whose kind, node and producer bytes are then overwritten with
+// its own: a stream the Writer refuses to produce. Each of those three
+// fields must fit in one varint byte.
+func encodeRejected(tb testing.TB, meta Meta, events []trace.Event, at int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, meta)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w.perCh = 2
+	var pos int64
+	for i, e := range events {
+		if i == at {
+			pos = w.off + 1 // the chunk's start, past its event count
+			e = trace.Event{Kind: trace.KindConsumption, Block: e.Block, Producer: mem.InvalidNode}
+		}
+		if err := w.Write(e); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	bad, data := events[at], buf.Bytes()
+	data[pos] = byte(bad.Kind)
+	data[pos+1] = byte(bad.Node)
+	data[pos+2+int64(len(binary.AppendVarint(nil, int64(bad.Block))))] = byte(bad.Producer + 1)
+	return data
+}
+
+func mustReader(t *testing.T, data []byte) *Reader {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -72,6 +72,11 @@ type Result struct {
 	// segmentation for base and TSE runs), enabling paired speedup
 	// confidence intervals in the SMARTS style.
 	SegmentCycles []uint64
+	// TSE is the end-of-run result of the TSE model the simulation drove
+	// (zero for a baseline run): trace coverage, discards, stream lengths
+	// and traffic. TSE state does not depend on timing, so it equals the
+	// result of a tse.System run alone over the same events.
+	TSE tse.Result
 }
 
 // TotalCycles returns the total execution cycles (summed over nodes), the
@@ -196,7 +201,11 @@ func SimulateSource(src stream.Source, p Params) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	sim := newSimulator(p)
+	return newSimulator(p).run(src)
+}
+
+// run drives the simulation over src to its end and returns the result.
+func (sim *simulator) run(src stream.Source) (Result, error) {
 	for {
 		e, err := src.Next()
 		if err == io.EOF {
@@ -205,7 +214,9 @@ func SimulateSource(src stream.Source, p Params) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		sim.event(e)
+		if err := sim.event(e); err != nil {
+			return Result{}, err
+		}
 	}
 }
 
@@ -302,18 +313,21 @@ func (sim *simulator) totalBreakdown() uint64 {
 	return t
 }
 
-// event advances the simulation by one trace event.
-func (sim *simulator) event(e trace.Event) {
+// event advances the simulation by one trace event. An event by a node
+// outside the simulated system is an error: the model has no state for it.
+func (sim *simulator) event(e trace.Event) error {
+	if e.Node < 0 || int(e.Node) >= sim.p.Nodes {
+		return fmt.Errorf("timing: %v by node %d outside the %d-node system", e.Kind, e.Node, sim.p.Nodes)
+	}
 	switch e.Kind {
 	case trace.KindWrite:
 		if sim.sys != nil {
 			sim.sys.Write(e)
 		}
 	case trace.KindConsumption:
-		if int(e.Node) >= 0 && int(e.Node) < sim.p.Nodes {
-			sim.consume(sim.nodes[e.Node], e)
-		}
+		sim.consume(sim.nodes[e.Node], e)
 	}
+	return nil
 }
 
 // consume simulates one consumption by node n.
@@ -394,10 +408,10 @@ func (sim *simulator) finish() Result {
 	for _, n := range sim.nodes {
 		sim.flushBurst(n)
 	}
-	if sim.sys != nil {
-		sim.sys.Finish()
-	}
 	res := sim.res
+	if sim.sys != nil {
+		res.TSE = sim.sys.Finish()
+	}
 	for _, n := range sim.nodes {
 		res.Breakdown.BusyCycles += n.breakdown.BusyCycles
 		res.Breakdown.OtherStallCycles += n.breakdown.OtherStallCycles
@@ -421,13 +435,16 @@ func (sim *simulator) finish() Result {
 // every consumption latency through Params.Observer into a per-epoch
 // obs.Histogram, and each chunk-boundary pump records the epoch's latency
 // distribution (count, mean, interpolated p50/p90/p99) as one sample, then
-// starts a fresh epoch. The simulation's results are identical with and
-// without the tap.
+// starts a fresh epoch. With TSE enabled the sample also carries the TSE
+// model's live state (tse.LiveStats), so this one consumer reports both
+// the coverage and the timing of a replay. The simulation's results are
+// identical with and without the tap.
 type Consumer struct {
 	params Params
 	// Result is the simulation result, valid after Run returns nil.
 	Result Result
 	series *obs.Series
+	sim    *simulator     // live simulation while Run is in flight
 	epoch  *obs.Histogram // latencies observed since the last sample
 	cum    uint64         // consumptions observed so far
 }
@@ -446,7 +463,12 @@ func (c *Consumer) Run(src stream.Source) error {
 			c.epoch.Observe(latency)
 		}
 	}
-	res, err := SimulateSource(src, p)
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	c.sim = newSimulator(p)
+	res, err := c.sim.run(src)
+	c.sim = nil
 	c.Result = res
 	return err
 }
@@ -455,21 +477,24 @@ func (c *Consumer) Run(src stream.Source) error {
 func (c *Consumer) AttachSeries(s *obs.Series) { c.series = s }
 
 // SampleAt implements pipeline.Sampler: one epoch sample of the latency
-// distribution since the previous sample. Runs on the consumer's goroutine
-// between events.
+// distribution since the previous sample, plus the TSE model's live state
+// when TSE is enabled. Runs on the consumer's goroutine between events;
+// outside Run it is a no-op.
 func (c *Consumer) SampleAt(seq uint64, final bool) {
-	if c.epoch == nil || !c.series.Ready(seq, final) {
+	if c.sim == nil || c.epoch == nil || !c.series.Ready(seq, final) {
 		return
 	}
+	values := map[string]float64{"consumptions": float64(c.cum)}
+	if c.sim.sys != nil {
+		values = c.sim.sys.Probe().SeriesValues()
+	}
 	snap := c.epoch.Snapshot()
-	c.series.Record(seq, map[string]float64{
-		"consumptions":  float64(c.cum),
-		"latency_count": float64(snap.Count),
-		"latency_mean":  snap.Mean(),
-		"latency_p50":   snap.P50,
-		"latency_p90":   snap.P90,
-		"latency_p99":   snap.P99,
-	})
+	values["latency_count"] = float64(snap.Count)
+	values["latency_mean"] = snap.Mean()
+	values["latency_p50"] = snap.P50
+	values["latency_p90"] = snap.P90
+	values["latency_p99"] = snap.P99
+	c.series.Record(seq, values)
 	c.epoch = &obs.Histogram{}
 }
 

@@ -304,7 +304,9 @@ func checkArrivals(t *testing.T, tr *trace.Trace, p Params) {
 	t.Helper()
 	sim := newSimulator(p)
 	for i, e := range tr.Events {
-		sim.event(e)
+		if err := sim.event(e); err != nil {
+			t.Fatal(err)
+		}
 		arrivals := 0
 		for _, n := range sim.nodes {
 			arrivals += len(n.arrivals)

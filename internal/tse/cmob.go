@@ -42,16 +42,23 @@ func (c *CMOB) Appends() uint64 { return c.next }
 func (c *CMOB) Append(b mem.BlockAddr) uint64 {
 	offset := c.next
 	if c.capacity == 0 || len(c.entries) < c.capacity {
-		if c.capacity > 0 && len(c.entries) == cap(c.entries) && 2*cap(c.entries) > c.capacity {
-			// The last growth step allocates exactly the ring.
-			c.entries = append(make([]mem.BlockAddr, 0, c.capacity), c.entries...)
-		}
-		c.entries = append(c.entries, b)
+		c.entries = appendBounded(c.entries, b, c.capacity)
 	} else {
 		c.entries[offset%uint64(c.capacity)] = b
 	}
 	c.next++
 	return offset
+}
+
+// appendBounded appends v to s, which holds fewer than capacity elements
+// (0 = unbounded). s grows as append grows it, except that the step which
+// would pass capacity allocates exactly capacity: a bounded buffer costs
+// only what it uses until it fills, and then holds no spare room.
+func appendBounded[T any](s []T, v T, capacity int) []T {
+	if capacity > 0 && len(s) == cap(s) && 2*cap(s) > capacity {
+		s = append(make([]T, 0, capacity), s...)
+	}
+	return append(s, v)
 }
 
 // resident reports whether the entry at offset is still retained.

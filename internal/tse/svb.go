@@ -32,11 +32,23 @@ type SVBStats struct {
 
 // svbEntry is one streamed block held by the SVB (keyed by its address).
 type svbEntry struct {
-	queue int // id of the stream queue that streamed it (-1 if unknown)
-	// age orders replacement: the clock of the last insert or refresh
-	// (LRU), or of the first insert only under FIFO replacement.
-	age uint64
+	queue int32 // id of the stream queue that streamed it (-1 if unknown)
+	// slot is the entry's node in the replacement order (noSlot in an
+	// unbounded SVB, which never replaces).
+	slot int32
 }
+
+// svbSlot is one node of a bounded SVB's replacement order, a doubly-linked
+// list from the next victim (head) to the newest entry (tail). Under LRU an
+// insert or refresh moves the block to the tail; under FIFO only the first
+// insert does. Free slots form a singly-linked list through next.
+type svbSlot struct {
+	block      mem.BlockAddr
+	prev, next int32
+}
+
+// noSlot ends a slot list.
+const noSlot = -1
 
 // holderIndex maps every block held by some SVB of a System to the bitmask
 // of the nodes whose SVB holds it. A block held by no SVB has no key, so a
@@ -59,6 +71,10 @@ func (h holderIndex) remove(b mem.BlockAddr, bit uint64) {
 // miss (Section 3.3). Entries are invalidated on any write to the block and
 // replaced with an LRU policy.
 //
+// A bounded SVB keeps its replacement order in a slot array that grows
+// lazily up to the capacity, so insert, refresh, hit, invalidate and
+// eviction are all O(1). An unbounded SVB keeps no order at all.
+//
 // Inside a System every SVB keeps the System's holder index current: it sets
 // its node's bit for a block on insert and clears it on every removal (hit,
 // eviction, invalidation, flush).
@@ -66,8 +82,12 @@ type SVB struct {
 	capacity int // 0 = unlimited
 	fifoRepl bool
 	entries  map[mem.BlockAddr]svbEntry
-	clock    uint64
-	stats    SVBStats
+	// slots holds the replacement order of a bounded SVB (nil until the
+	// first insert); head is the next victim, tail the newest entry and
+	// free the first reusable slot.
+	slots            []svbSlot
+	head, tail, free int32
+	stats            SVBStats
 	// holders, if non-nil, is the System-wide holder index; bit is this
 	// SVB's node bit in it.
 	holders holderIndex
@@ -79,7 +99,11 @@ type SVB struct {
 
 // NewSVB returns an SVB with the given capacity in blocks (0 = unlimited).
 func NewSVB(capacity int) *SVB {
-	return &SVB{capacity: capacity, entries: make(map[mem.BlockAddr]svbEntry)}
+	return &SVB{
+		capacity: capacity,
+		entries:  make(map[mem.BlockAddr]svbEntry),
+		head:     noSlot, tail: noSlot, free: noSlot,
+	}
 }
 
 // SetFIFOReplacement switches the replacement policy to FIFO (ablation).
@@ -111,17 +135,65 @@ func (s *SVB) Contains(b mem.BlockAddr) bool {
 	return ok
 }
 
-// remove deletes a held block from the SVB and from the holder index.
-func (s *SVB) remove(b mem.BlockAddr) {
+// pushBack links slot i at the tail of the replacement order.
+func (s *SVB) pushBack(i int32) {
+	s.slots[i].prev, s.slots[i].next = s.tail, noSlot
+	if s.tail != noSlot {
+		s.slots[s.tail].next = i
+	} else {
+		s.head = i
+	}
+	s.tail = i
+}
+
+// unlink takes slot i out of the replacement order.
+func (s *SVB) unlink(i int32) {
+	prev, next := s.slots[i].prev, s.slots[i].next
+	if prev != noSlot {
+		s.slots[prev].next = next
+	} else {
+		s.head = next
+	}
+	if next != noSlot {
+		s.slots[next].prev = prev
+	} else {
+		s.tail = prev
+	}
+}
+
+// newSlot returns a slot for block b at the tail of the replacement order,
+// reusing a freed slot or growing the array, never past the capacity (see
+// appendBounded).
+func (s *SVB) newSlot(b mem.BlockAddr) int32 {
+	i := s.free
+	if i != noSlot {
+		s.free = s.slots[i].next
+	} else {
+		i = int32(len(s.slots))
+		s.slots = appendBounded(s.slots, svbSlot{}, s.capacity)
+	}
+	s.slots[i].block = b
+	s.pushBack(i)
+	return i
+}
+
+// remove deletes a held block from the SVB, its replacement order and the
+// holder index.
+func (s *SVB) remove(b mem.BlockAddr, slot int32) {
 	delete(s.entries, b)
+	if slot != noSlot {
+		s.unlink(slot)
+		s.slots[slot].next = s.free
+		s.free = slot
+	}
 	if s.holders != nil {
 		s.holders.remove(b, s.bit)
 	}
 }
 
 // discard removes a held block that leaves unused and counts it.
-func (s *SVB) discard(b mem.BlockAddr, reason DiscardReason) {
-	s.remove(b)
+func (s *SVB) discard(b mem.BlockAddr, slot int32, reason DiscardReason) {
+	s.remove(b, slot)
 	s.stats.Discards++
 	switch reason {
 	case DiscardEvicted:
@@ -141,37 +213,27 @@ func (s *SVB) discard(b mem.BlockAddr, reason DiscardReason) {
 // refreshed. If the SVB is full the victim (LRU or FIFO per configuration)
 // is discarded.
 func (s *SVB) Insert(b mem.BlockAddr, queue int) {
-	s.clock++
 	if e, ok := s.entries[b]; ok {
-		e.queue = queue
-		if !s.fifoRepl {
-			e.age = s.clock
-		}
+		e.queue = int32(queue)
 		s.entries[b] = e
+		if e.slot != noSlot && !s.fifoRepl {
+			s.unlink(e.slot)
+			s.pushBack(e.slot)
+		}
 		return
 	}
-	if s.capacity > 0 && len(s.entries) >= s.capacity {
-		s.evictOne()
+	e := svbEntry{queue: int32(queue), slot: noSlot}
+	if s.capacity > 0 {
+		if len(s.entries) >= s.capacity {
+			s.discard(s.slots[s.head].block, s.head, DiscardEvicted)
+		}
+		e.slot = s.newSlot(b)
 	}
-	s.entries[b] = svbEntry{queue: queue, age: s.clock}
+	s.entries[b] = e
 	if s.holders != nil {
 		s.holders.add(b, s.bit)
 	}
 	s.stats.Inserted++
-}
-
-func (s *SVB) evictOne() {
-	var victim mem.BlockAddr
-	var oldest uint64
-	found := false
-	for b, e := range s.entries {
-		if !found || e.age < oldest {
-			victim, oldest, found = b, e.age, true
-		}
-	}
-	if found {
-		s.discard(victim, DiscardEvicted)
-	}
 }
 
 // Hit probes the SVB for a block on a processor access. On a hit the entry
@@ -183,18 +245,19 @@ func (s *SVB) Hit(b mem.BlockAddr) (queue int, ok bool) {
 	if !present {
 		return -1, false
 	}
-	s.remove(b)
+	s.remove(b, e.slot)
 	s.stats.Hits++
-	return e.queue, true
+	return int(e.queue), true
 }
 
 // Invalidate removes a block on a write by any processor; the streamed copy
 // is clean so it is simply dropped (and counted as a discard).
 func (s *SVB) Invalidate(b mem.BlockAddr) bool {
-	if _, ok := s.entries[b]; !ok {
+	e, ok := s.entries[b]
+	if !ok {
 		return false
 	}
-	s.discard(b, DiscardInvalidated)
+	s.discard(b, e.slot, DiscardInvalidated)
 	return true
 }
 
@@ -202,7 +265,7 @@ func (s *SVB) Invalidate(b mem.BlockAddr) bool {
 // measurement so that blocks streamed but never consumed count against
 // accuracy.
 func (s *SVB) Flush() {
-	for b := range s.entries {
-		s.discard(b, DiscardUnused)
+	for b, e := range s.entries {
+		s.discard(b, e.slot, DiscardUnused)
 	}
 }

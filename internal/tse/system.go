@@ -275,6 +275,11 @@ type LiveStats struct {
 	// would become end-of-run discards are not counted until they actually
 	// are).
 	Discards uint64
+	// Evicted and Invalidated split Discards by reason: replaced under SVB
+	// capacity pressure, or dropped by a write to the block. The third
+	// reason, DiscardUnused, only arises when Finish flushes the SVBs, so
+	// it is known from the Result alone.
+	Evicted, Invalidated uint64
 	// StreamsAllocated is cumulative stream-queue allocations.
 	StreamsAllocated uint64
 	// SVBResident is the blocks currently held across all SVBs.
@@ -291,6 +296,23 @@ func (ls LiveStats) Coverage() float64 {
 	return float64(ls.Covered) / float64(ls.Consumptions)
 }
 
+// SeriesValues returns the snapshot as the named values of one time-series
+// sample.
+func (ls LiveStats) SeriesValues() map[string]float64 {
+	return map[string]float64{
+		"consumptions":         float64(ls.Consumptions),
+		"covered":              float64(ls.Covered),
+		"coverage":             ls.Coverage(),
+		"fetched":              float64(ls.BlocksFetched),
+		"discards":             float64(ls.Discards),
+		"discards_evicted":     float64(ls.Evicted),
+		"discards_invalidated": float64(ls.Invalidated),
+		"streams":              float64(ls.StreamsAllocated),
+		"svb_resident":         float64(ls.SVBResident),
+		"cmob_bytes":           float64(ls.CMOBBytes),
+	}
+}
+
 // Probe aggregates the current per-node state without flushing anything. It
 // must run between events (same goroutine as Consumption/Write), which is
 // exactly when the pipeline's sampling pump fires.
@@ -302,7 +324,10 @@ func (s *System) Probe() LiveStats {
 		ls.Covered += es.Covered
 		ls.BlocksFetched += es.BlocksFetched
 		ls.StreamsAllocated += es.StreamsAllocated
-		ls.Discards += eng.SVB().Stats().Discards
+		st := eng.SVB().Stats()
+		ls.Discards += st.Discards
+		ls.Evicted += st.Evicted
+		ls.Invalidated += st.Invalidated
 		ls.SVBResident += eng.SVB().Len()
 		ls.CMOBBytes += s.cmobs[i].StorageBytes()
 	}

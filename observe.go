@@ -104,9 +104,10 @@ func (ins Instrumentation) startProgress(label string, m *Metrics, fraction func
 	})
 }
 
-// tseConsumerNames labels the three consumers of the TSE evaluation fan-out
-// in metrics and trace lanes.
-func tseConsumerNames() []string { return []string{"coverage", "timing-base", "timing-tse"} }
+// tseConsumerNames labels the two consumers of the TSE evaluation fan-out
+// in metrics, trace lanes and series; the "timing-tse" series carries the
+// coverage too.
+func tseConsumerNames() []string { return []string{"timing-base", "timing-tse"} }
 
 // EvaluateTSEFileObserved is EvaluateTSEFile with instrumentation attached:
 // the same fused single-decode replay, reporting what it did through the

@@ -5,14 +5,15 @@ package tsm
 // replay memory-bound on large traces. The functions here instead drive the
 // full TSE + timing stack directly from the trace file in bounded memory,
 // decoding each trace file exactly ONCE: a single decode pass is teed into
-// every consumer (the coverage model, the baseline timing model, the TSE
-// timing model, the Figure 12 baselines) by the fan-out engine in
-// internal/pipeline, with each consumer on its own goroutine reading a
-// cursor of the shared broadcast ring. The reports are bit-identical to the
-// serial in-memory reference (EvaluateTSE, ComparePrefetchers) — proven by
-// tests and pinned by the golden-file harness in testdata/. For
-// whole sensitivity sweeps over one file, see sweep.go
-// (EvaluateTSESweepFile): N configurations, still exactly one decode.
+// every consumer (the baseline timing model, the TSE timing model — whose
+// TSE System also yields the coverage — or the Figure 12 models) by the
+// fan-out engine in internal/pipeline, with each consumer on its own
+// goroutine reading a cursor of the shared broadcast ring. The reports are
+// bit-identical to the serial in-memory reference (EvaluateTSE,
+// ComparePrefetchers) — proven by tests and pinned by the golden-file
+// harness in testdata/. For whole sensitivity sweeps over one file, see
+// sweep.go (EvaluateTSESweepFile): N configurations, still exactly one
+// decode.
 
 import (
 	"tsm/internal/analysis"
@@ -42,13 +43,14 @@ func replayContext(meta TraceMeta) (Generator, Options, error) {
 }
 
 // EvaluateTSESource evaluates the paper's TSE configuration over a single
-// pass of an event source: ONE decode of src is teed into the trace-driven
-// coverage model, the baseline timing model and the TSE timing model, each
-// running concurrently on its own goroutine over the fan-out engine's
-// default ring broadcast. The events are never materialized, and the Report
-// is bit-identical to EvaluateTSE over the equivalent in-memory trace. meta
-// names the workload the source was generated from (as embedded in trace
-// files).
+// pass of an event source: ONE decode of src is teed into the baseline
+// timing model and the TSE timing model, each running concurrently on its
+// own goroutine over the fan-out engine's default ring broadcast. The TSE
+// timing model's own TSE System supplies the coverage and discards, so the
+// TSE model runs once per event. The events are never materialized, and
+// the Report is bit-identical to EvaluateTSE over the equivalent in-memory
+// trace, whose coverage comes from an independent System. meta names the
+// workload the source was generated from (as embedded in trace files).
 func EvaluateTSESource(src EventSource, meta TraceMeta) (Report, error) {
 	return evaluateTSESourceWith(pipeline.Config{}, src, meta)
 }
@@ -65,21 +67,19 @@ func evaluateTSESourceWith(pcfg pipeline.Config, src EventSource, meta TraceMeta
 		pcfg.ConsumerNames = tseConsumerNames()
 	}
 	cfg := tseConfig(gen, opts)
-	cov := analysis.NewTSEConsumer(cfg)
 	params := timingParams(gen, opts)
 	base := timing.NewConsumer(params)
-	tseParams := params
-	tseParams.TSE = &cfg
-	withTSE := timing.NewConsumer(tseParams)
-	if err := pcfg.Run(src, cov, base, withTSE); err != nil {
+	params.TSE = &cfg
+	withTSE := timing.NewConsumer(params)
+	if err := pcfg.Run(src, base, withTSE); err != nil {
 		return Report{}, err
 	}
-	return tseReport(cov.Result, base.Result, withTSE.Result), nil
+	return tseReport(withTSE.Result.TSE, base.Result, withTSE.Result), nil
 }
 
 // EvaluateTSEFile evaluates the paper's TSE configuration on a saved trace
 // through the fused streamed pipeline: the file is decoded exactly once and
-// the single pass feeds all three consumers (see EvaluateTSESource), using
+// the single pass feeds both timing consumers (see EvaluateTSESource), using
 // the generation metadata embedded in the file. The trace is never
 // materialized, and the Report is bit-identical to EvaluateTSE over
 // LoadTrace's in-memory events. For parallel decode or ranged replay, see

@@ -308,12 +308,12 @@ func coverageReport(r analysis.CoverageResult) Report {
 	}
 }
 
-// tseReport assembles the facade Report from a coverage pass and the paired
-// baseline/TSE timing passes. It is the single definition of this
+// tseReport assembles the facade Report from a TSE coverage result and the
+// paired baseline/TSE timing passes. It is the single definition of this
 // arithmetic: the in-memory pipeline (EvaluateTSE) and the streamed file
 // pipeline (EvaluateTSEFile) both end here, which is what keeps their
 // reports bit-identical by construction.
-func tseReport(cov analysis.CoverageResult, base, withTSE timing.Result) Report {
+func tseReport(cov tse.Result, base, withTSE timing.Result) Report {
 	speedup := timing.Speedup(base, withTSE)
 	_, ci := timing.SpeedupConfidence(base, withTSE)
 	return Report{
@@ -330,7 +330,9 @@ func tseReport(cov analysis.CoverageResult, base, withTSE timing.Result) Report 
 // trace-driven coverage/discard model plus the timing model (baseline vs.
 // TSE) for the speedup. The three models run one after another on the
 // calling goroutine: this is the serial reference the fused file replay
-// (EvaluateTSEFile) is tested against.
+// (EvaluateTSEFile) is tested against. Its coverage comes from a TSE
+// System of its own, independent of the timing run's, which is what lets
+// the tests check the fused replay's shared System.
 func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 	opts, err := opts.checked()
 	if err != nil {
@@ -340,7 +342,7 @@ func EvaluateTSE(tr *Trace, gen Generator, opts Options) (Report, error) {
 		return Report{}, fmt.Errorf("tsm: EvaluateTSE requires a trace and a generator")
 	}
 	cfg := tseConfig(gen, opts)
-	cov, _ := analysis.EvaluateTSE(cfg, tr)
+	_, cov := analysis.EvaluateTSE(cfg, tr)
 
 	params := timingParams(gen, opts)
 	base, err := timing.Simulate(tr, params)

@@ -19,7 +19,7 @@ import (
 
 // TestFileReplaySeries: an attached SeriesSet collects one series per
 // consumer of the TSE replay, the sampling interval auto-sizes from the
-// trace's indexed event count, and the final "coverage" sample carries
+// trace's indexed event count, and the final "timing-tse" sample carries
 // exactly the coverage the Report states — the time-series lands on the
 // end-of-run truth, not an approximation of it.
 func TestFileReplaySeries(t *testing.T) {
@@ -42,7 +42,7 @@ func TestFileReplaySeries(t *testing.T) {
 			t.Fatalf("consumer %q collected no samples; snapshot has %v", name, snap.Series)
 		}
 	}
-	pts := snap.Series["coverage"].Points
+	pts := snap.Series["timing-tse"].Points
 	last := pts[len(pts)-1]
 	if last.Seq != info.Events-1 {
 		t.Fatalf("final sample at seq %d, want last event %d", last.Seq, info.Events-1)
@@ -63,10 +63,17 @@ func TestFileReplaySeries(t *testing.T) {
 			t.Fatalf("cumulative consumptions decreased at sample %d", i)
 		}
 	}
-	// The timing consumers sample per-epoch latency quantiles.
-	tpts := snap.Series["timing-tse"].Points
-	if v, ok := tpts[len(tpts)-1].Values["latency_p99"]; !ok || v <= 0 {
-		t.Fatalf("timing series missing latency_p99: %v", tpts[len(tpts)-1].Values)
+	// The timing consumers sample per-epoch latency quantiles, and the
+	// TSE lane splits its discards by reason.
+	for _, name := range tseConsumerNames() {
+		tpts := snap.Series[name].Points
+		if v, ok := tpts[len(tpts)-1].Values["latency_p99"]; !ok || v <= 0 {
+			t.Fatalf("%s series missing latency_p99: %v", name, tpts[len(tpts)-1].Values)
+		}
+	}
+	v := last.Values
+	if v["discards_evicted"]+v["discards_invalidated"] != v["discards"] || v["discards_evicted"] == 0 {
+		t.Fatalf("final sample's discards by reason do not add up: %v", v)
 	}
 }
 

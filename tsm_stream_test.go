@@ -2,10 +2,15 @@ package tsm
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"tsm/internal/mem"
 	"tsm/internal/stream"
+	"tsm/internal/trace"
 )
 
 // TestStreamedTraceFileBytesMatchMaterialized is the tentpole's byte-level
@@ -342,5 +347,75 @@ func TestRunExperimentsParallel(t *testing.T) {
 	}
 	if _, err := RunExperiments([]string{"fig999"}, opts); err == nil {
 		t.Fatal("unknown experiment should error")
+	}
+}
+
+// TestOutOfRangeNodeIsCorrupt: a hand-made trace file whose events name a
+// node equal to its own node count is rejected by the decoder with
+// ErrCorrupt on every replay path (serial, parallel, mmap), with no panic
+// and no Report. No model downstream has state for such a node.
+func TestOutOfRangeNodeIsCorrupt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.tsm")
+	events := []Event{
+		{Kind: trace.KindWrite, Node: 0, Block: 0x1000, Producer: mem.InvalidNode},
+		{Kind: trace.KindConsumption, Node: 1, Block: 0x1000, Producer: 0},
+		{Kind: trace.KindConsumption, Node: 4, Block: 0x1000, Producer: 0},
+	}
+	// The Writer refuses such a file, so write it for 5 nodes and then patch
+	// the header's node count (the one-byte varint after the workload name).
+	meta := stream.Meta{Workload: "db2", Nodes: 5, Scale: 0.05, Seed: 7}
+	if _, err := stream.WriteFile(path, meta, stream.NewSliceSource(events)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodesAt := len(stream.Magic) + 1 + 1 + len(meta.Workload)
+	if data[nodesAt] != 5 {
+		t.Fatalf("header byte %d = %d, want the node count 5", nodesAt, data[nodesAt])
+	}
+	data[nodesAt] = 4
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, rc := range []ReplayConfig{{}, {DecodeWorkers: 2}, {Mmap: true}} {
+		rep, err := EvaluateTSEFileWith(path, rc, Instrumentation{})
+		if !errors.Is(err, stream.ErrCorrupt) || !strings.Contains(err.Error(), "node 4 outside [0,4)") {
+			t.Fatalf("%+v: err = %v, want ErrCorrupt naming node 4", rc, err)
+		}
+		if rep != (Report{}) {
+			t.Fatalf("%+v: corrupt trace produced a report: %v", rc, rep)
+		}
+		if reps, err := EvaluateAllFileWith(path, rc, Instrumentation{}); !errors.Is(err, stream.ErrCorrupt) || reps != nil {
+			t.Fatalf("%+v: EvaluateAllFileWith = %v, %v, want ErrCorrupt and no reports", rc, reps, err)
+		}
+	}
+}
+
+// TestOutOfRangeNodeSourceIsError: an in-memory source whose events name a
+// node outside the metadata's node count makes EvaluateTSESource fail with
+// an error and no Report, whether the event is a consumption or a write.
+// The timing models have no state for such a node, and the fused replay
+// takes its coverage from them, so they must not skip it silently.
+func TestOutOfRangeNodeSourceIsError(t *testing.T) {
+	meta := TraceMeta{Workload: "db2", Nodes: 4, Scale: 0.05, Seed: 7}
+	for _, bad := range []Event{
+		{Kind: trace.KindConsumption, Node: 4, Block: 0x1000, Producer: 0},
+		{Kind: trace.KindWrite, Node: 4, Block: 0x1000, Producer: mem.InvalidNode},
+		{Kind: trace.KindConsumption, Node: -1, Block: 0x1000, Producer: 0},
+	} {
+		events := []Event{
+			{Kind: trace.KindWrite, Node: 0, Block: 0x1000, Producer: mem.InvalidNode},
+			{Kind: trace.KindConsumption, Node: 1, Block: 0x1000, Producer: 0},
+			bad,
+		}
+		rep, err := EvaluateTSESource(stream.NewSliceSource(events), meta)
+		if err == nil || !strings.Contains(err.Error(), "outside the 4-node system") {
+			t.Fatalf("%v by node %d: err = %v, want the out-of-range node named", bad.Kind, bad.Node, err)
+		}
+		if rep != (Report{}) {
+			t.Fatalf("%v by node %d: produced a report: %v", bad.Kind, bad.Node, rep)
+		}
 	}
 }
