@@ -4,6 +4,7 @@ import (
 	"io"
 
 	"tsm/internal/obs"
+	"tsm/internal/pipeline"
 	"tsm/internal/prefetch"
 	"tsm/internal/stream"
 	"tsm/internal/trace"
@@ -138,6 +139,9 @@ type TSEConsumer struct {
 	Full   tse.Result
 	series *obs.Series
 	sys    *tse.System // live system while Run is in flight (sampling only)
+	// arranged reads the CMOB logs and pointer lists from the shared
+	// arrangement the run's Stage publishes with each chunk (SweepWith).
+	arranged bool
 }
 
 // NewTSEConsumer wraps a TSE system model built from cfg at Run time.
@@ -155,7 +159,9 @@ func (c *TSEConsumer) Run(src stream.Source) error {
 	c.sys = sys
 	var full tse.Result
 	var err error
-	if ss, ok := src.(stream.SoASource); ok {
+	if ps, ok := src.(pipeline.StagedSource); ok && c.arranged {
+		full, err = runTSEArranged(sys, ps)
+	} else if ss, ok := src.(stream.SoASource); ok {
 		full, err = runTSEColumns(sys, ss)
 	} else {
 		full, err = sys.RunSource(src)
@@ -181,10 +187,29 @@ func runTSEColumns(sys *tse.System, ss stream.SoASource) (tse.Result, error) {
 		if err == io.EOF {
 			return sys.Finish(), nil
 		}
+		if err == nil {
+			err = sys.RunColumns(ch.Kind, ch.Node, ch.Block)
+		}
 		if err != nil {
 			return sys.Finish(), err
 		}
-		sys.RunColumns(ch.Kind, ch.Node, ch.Block)
+	}
+}
+
+// runTSEArranged is runTSEColumns for a sweep cell driven by the shared
+// arrangement published with each chunk.
+func runTSEArranged(sys *tse.System, ps pipeline.StagedSource) (tse.Result, error) {
+	for {
+		ch, staged, err := ps.NextChunkStaged()
+		if err == io.EOF {
+			return sys.Finish(), nil
+		}
+		if err == nil {
+			err = sys.RunArranged(ch.Kind, ch.Node, ch.Block, staged.(*tse.ArrangedChunk))
+		}
+		if err != nil {
+			return sys.Finish(), err
+		}
 	}
 }
 

@@ -46,12 +46,26 @@ func SweepTrace(cfgs []tse.Config, tr *trace.Trace) ([]SweepResult, error) {
 
 // SweepWith is Sweep under an explicit pipeline configuration — the seam the
 // instrumented callers (metrics, tracing, series) use.
+//
+// With two or more cells of one node count, the cells share one
+// tse.Arrangement: the CMOB logs and directory pointer lists, which no
+// swept parameter changes, are built once per chunk by a pipeline Stage
+// ahead of the cells, and each cell keeps only its own CMOB append counts.
+// A single cell records its own, as a standalone System does.
 func SweepWith(pcfg pipeline.Config, cfgs []tse.Config, src stream.Source) ([]SweepResult, error) {
 	cells := make([]*TSEConsumer, len(cfgs))
 	consumers := make([]pipeline.Consumer, len(cfgs))
 	for i, cfg := range cfgs {
 		cells[i] = NewTSEConsumer(cfg)
 		consumers[i] = cells[i]
+	}
+	if len(cfgs) > 1 {
+		if arr, err := tse.NewArrangement(cfgs); err == nil {
+			pcfg.Stage = arrangeStage{arr}
+			for _, c := range cells {
+				c.arranged = true
+			}
+		}
 	}
 	if err := pcfg.Run(src, consumers...); err != nil {
 		return nil, err
@@ -61,4 +75,15 @@ func SweepWith(pcfg pipeline.Config, cfgs []tse.Config, src stream.Source) ([]Sw
 		out[i] = SweepResult{Coverage: c.Result, Full: c.Full}
 	}
 	return out, nil
+}
+
+// arrangeStage builds a sweep's shared tse.Arrangement as a pipeline Stage:
+// one ArrangedChunk per broadcast chunk, published with the chunk.
+type arrangeStage struct{ arr *tse.Arrangement }
+
+func (arrangeStage) Name() string { return "arrange" }
+
+func (a arrangeStage) Build(c *stream.ChunkSoA, prev any) (any, error) {
+	ac, _ := prev.(*tse.ArrangedChunk)
+	return a.arr.Arrange(c.Kind, c.Node, c.Block, ac)
 }

@@ -2,10 +2,13 @@ package analysis
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"tsm/internal/coherence"
 	"tsm/internal/mem"
+	"tsm/internal/obs"
 	"tsm/internal/pipeline"
 	"tsm/internal/stream"
 	"tsm/internal/trace"
@@ -147,6 +150,90 @@ func TestSweepPropagatesSourceError(t *testing.T) {
 	for _, cells := range []int{1, 3} {
 		if _, err := Sweep(sweepTestConfigs(base, cells), brokenSource{}); !errors.Is(err, errBroken) {
 			t.Fatalf("%d cells: err = %v, want errBroken", cells, err)
+		}
+	}
+}
+
+// TestSweepSharedArrangementMatchesSystems: sweep cells that share one
+// arrangement, fed through the ring at its default shape and at a narrow
+// one (a one-slot window of 7-event chunks), return Results deeply equal
+// to independent Systems, for bounded, unbounded and mixed CMOB cells of
+// every compared-streams width. Their final series samples carry the same
+// mechanism counters (lost CMOB reads, refills) as the independent
+// System's Probe.
+func TestSweepSharedArrangementMatchesSystems(t *testing.T) {
+	tr, base := sweepTestTrace(t)
+	var cfgs []tse.Config
+	for i, capacity := range []int{0, 32, 512, 4096} {
+		cfg := base
+		cfg.CMOBEntries = capacity
+		cfg.ComparedStreams = 1 + i
+		cfgs = append(cfgs, cfg)
+	}
+	for _, pcfg := range []pipeline.Config{{}, {ChunkEvents: 7, ChunkBuffer: 1}} {
+		for _, set := range [][]tse.Config{cfgs, cfgs[1:]} {
+			series := obs.NewSeriesSet()
+			pcfg.Series = series
+			got, err := SweepWith(pcfg, set, stream.TraceSource(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := series.Snapshot()
+			for i, cfg := range set {
+				sys := tse.NewSystem(cfg)
+				for _, e := range tr.Events {
+					switch e.Kind {
+					case trace.KindConsumption:
+						sys.Consumption(e)
+					case trace.KindWrite:
+						sys.Write(e)
+					}
+				}
+				probe := sys.Probe()
+				if want := sys.Finish(); !reflect.DeepEqual(got[i].Full, want) {
+					t.Fatalf("%+v cell %d: shared %+v != independent %+v", pcfg, i, got[i].Full, want)
+				}
+				pts := snap.Series[fmt.Sprint(i)].Points
+				final := pts[len(pts)-1].Values
+				if final["cmob_reads_lost"] != float64(probe.LostReads) || final["refills"] != float64(probe.Refills) {
+					t.Fatalf("%+v cell %d: sampled counters %v, want %+v", pcfg, i, final, probe)
+				}
+				if cfg.CMOBEntries == 32 && probe.LostReads == 0 {
+					t.Fatalf("cell %d: a 32-entry CMOB lost no reads", i)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepBadNodeIsError: a consumption by a node outside the sweep's
+// node count fails the sweep in band, with the arrangement's *NodeError
+// for a shared sweep and the System's for a single cell.
+func TestSweepBadNodeIsError(t *testing.T) {
+	tr, base := sweepTestTrace(t)
+	events := append(append([]trace.Event(nil), tr.Events[:500]...),
+		trace.Event{Kind: trace.KindConsumption, Node: 4, Block: 64})
+	for _, cells := range []int{1, 3} {
+		got, err := Sweep(sweepTestConfigs(base, cells), stream.NewSliceSource(events))
+		var ne *tse.NodeError
+		if !errors.As(err, &ne) || got != nil {
+			t.Fatalf("%d cells: results %v, err = %v, want a *tse.NodeError and no results", cells, got, err)
+		}
+	}
+}
+
+// TestSingleCellSweepBuildsNoArrangement: only a sweep of two or more
+// cells shares an arrangement; a single cell records its own CMOB, so the
+// run has no arrange stage.
+func TestSingleCellSweepBuildsNoArrangement(t *testing.T) {
+	tr, base := sweepTestTrace(t)
+	for cells, want := range map[int]bool{1: false, 2: true} {
+		m := obs.NewRegistry()
+		if _, err := SweepWith(pipeline.Config{Metrics: m}, sweepTestConfigs(base, cells), stream.TraceSource(tr)); err != nil {
+			t.Fatal(err)
+		}
+		if _, got := m.Snapshot().Counters["pipeline.stage.arrange.busy_ns"]; got != want {
+			t.Fatalf("%d-cell sweep: arrange stage present = %v, want %v", cells, got, want)
 		}
 	}
 }

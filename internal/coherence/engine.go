@@ -13,6 +13,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tsm/internal/cache"
 	"tsm/internal/directory"
@@ -72,7 +73,10 @@ type Config struct {
 	// only), which matches the paper's observation that coherence misses
 	// dominate as caches grow.
 	CacheConfig cache.Config
-	// PointersPerEntry is forwarded to the directory (CMOB pointers).
+	// PointersPerEntry is ignored. The coherence directory keeps no CMOB
+	// pointers: the TSE model owns its pointer table (internal/tse), sized
+	// by tse.Config.ComparedStreams. The field is kept so that existing
+	// configuration literals still compile.
 	PointersPerEntry int
 }
 
@@ -85,7 +89,6 @@ func DefaultConfig() Config {
 		CacheConfig: cache.Config{
 			Name: "L2", SizeBytes: 8 << 20, Ways: 8, BlockSize: mem.DefaultBlockSize,
 		},
-		PointersPerEntry: 2,
 	}
 }
 
@@ -205,11 +208,7 @@ func New(cfg Config) *Engine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	dir := directory.New(directory.Config{
-		Nodes:            cfg.Nodes,
-		Geometry:         cfg.Geometry,
-		PointersPerEntry: cfg.PointersPerEntry,
-	})
+	dir := directory.New(directory.Config{Nodes: cfg.Nodes, Geometry: cfg.Geometry})
 	caches := make([]nodeCache, cfg.Nodes)
 	for i := range caches {
 		if cfg.CacheConfig.SizeBytes == 0 {
@@ -226,7 +225,7 @@ func New(cfg Config) *Engine {
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Directory exposes the directory (the TSE records CMOB pointers in it).
+// Directory exposes the coherence directory.
 func (e *Engine) Directory() *directory.Directory { return e.dir }
 
 // Stats returns a copy of the counters.
@@ -237,8 +236,8 @@ type Result struct {
 	Class    Classification
 	Block    mem.BlockAddr
 	Producer mem.NodeID
-	// Invalidated lists nodes whose copies a write invalidated.
-	Invalidated []mem.NodeID
+	// Invalidated is the set of nodes whose copies a write invalidated.
+	Invalidated directory.SharerSet
 }
 
 // Access processes one access, updates the caches and directory, appends the
@@ -319,10 +318,10 @@ func (e *Engine) write(a mem.Access, b mem.BlockAddr, c nodeCache, emit func(tra
 		return Result{Class: WriteHit, Block: b}
 	}
 	wr := e.dir.Write(a.Node, b)
-	for _, victim := range wr.Invalidated {
-		e.caches[victim].invalidate(b)
+	for m := uint64(wr.Invalidated); m != 0; m &= m - 1 {
+		e.caches[bits.TrailingZeros64(m)].invalidate(b)
 	}
-	e.stats.Invalidations += uint64(len(wr.Invalidated))
+	e.stats.Invalidations += uint64(wr.Invalidated.Count())
 	if v := c.fill(b, cache.Modified); v.Valid {
 		e.dir.Evict(a.Node, v.Block, v.Dirty)
 	}

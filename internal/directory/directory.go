@@ -1,8 +1,7 @@
 // Package directory implements the DSM directory: per-block sharing state
-// (a full-map MSI directory with owner and sharer set) plus the TSE
-// extension of Section 3.2 — one or more CMOB pointers per entry, each
-// naming a node and an offset into that node's coherence miss order buffer
-// where the block's address was most recently appended.
+// (a full-map MSI directory with owner and sharer set). The TSE extension
+// of Section 3.2, the CMOB pointers per block, is the TSE model's own
+// pointer table (internal/tse): the coherence engine never reads it.
 //
 // Blocks are home-distributed across nodes by block index; the Directory
 // type here models the aggregate of all per-node directory slices, which is
@@ -12,6 +11,7 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tsm/internal/mem"
 )
@@ -42,29 +42,12 @@ func (s State) String() string {
 	}
 }
 
-// CMOBPointer locates the most recent appearance of a block's address in
-// some node's CMOB.
-type CMOBPointer struct {
-	// Node is the node whose CMOB holds the entry.
-	Node mem.NodeID
-	// Offset is the absolute append index within that CMOB (monotonically
-	// increasing; the CMOB maps it onto its circular storage).
-	Offset uint64
-	// Valid reports whether the pointer has been set.
-	Valid bool
-}
-
 // Entry is the directory state for one block.
 type Entry struct {
 	State      State
 	Owner      mem.NodeID // valid when State == Modified
 	Sharers    SharerSet
 	LastWriter mem.NodeID // most recent writer ever (InvalidNode if none)
-	// CMOBPtrs holds the most recent CMOB pointers, newest first. Its
-	// length is bounded by the directory's PointersPerEntry.
-	// RecordCMOBPointer reorders it in place, so copy it to keep a
-	// snapshot.
-	CMOBPtrs []CMOBPointer
 }
 
 // SharerSet is a bitmap of nodes holding a shared copy. It supports up to 64
@@ -81,24 +64,17 @@ func (s *SharerSet) Remove(n mem.NodeID) { *s &^= 1 << uint(n) }
 func (s SharerSet) Contains(n mem.NodeID) bool { return s&(1<<uint(n)) != 0 }
 
 // Count returns the number of nodes in the set.
-func (s SharerSet) Count() int {
-	n := 0
-	for v := uint64(s); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
+func (s SharerSet) Count() int { return bits.OnesCount64(uint64(s)) }
 
 // Clear empties the set.
 func (s *SharerSet) Clear() { *s = 0 }
 
-// Nodes returns the members of the set in ascending order.
+// Nodes returns the members of the set in ascending order. It allocates;
+// hot paths walk the mask instead.
 func (s SharerSet) Nodes() []mem.NodeID {
 	var out []mem.NodeID
-	for i := 0; i < 64; i++ {
-		if s.Contains(mem.NodeID(i)) {
-			out = append(out, mem.NodeID(i))
-		}
+	for v := uint64(s); v != 0; v &= v - 1 {
+		out = append(out, mem.NodeID(bits.TrailingZeros64(v)))
 	}
 	return out
 }
@@ -109,17 +85,11 @@ type Config struct {
 	Nodes int
 	// Geometry supplies the block size used to home blocks.
 	Geometry mem.Geometry
-	// PointersPerEntry is the number of CMOB pointers stored per block.
-	// Basic temporal streaming needs one; the paper's TSE configuration
-	// keeps pointers from a few recent consumers (two, matching the two
-	// compared streams).
-	PointersPerEntry int
 }
 
-// DefaultConfig returns a 16-node directory with two CMOB pointers per
-// entry.
+// DefaultConfig returns a 16-node directory.
 func DefaultConfig() Config {
-	return Config{Nodes: 16, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2}
+	return Config{Nodes: 16, Geometry: mem.DefaultGeometry()}
 }
 
 // Validate reports whether the configuration is usable.
@@ -127,13 +97,7 @@ func (c Config) Validate() error {
 	if c.Nodes <= 0 || c.Nodes > 64 {
 		return fmt.Errorf("directory: node count %d out of range [1,64]", c.Nodes)
 	}
-	if err := c.Geometry.Validate(); err != nil {
-		return err
-	}
-	if c.PointersPerEntry < 0 {
-		return fmt.Errorf("directory: negative pointers per entry")
-	}
-	return nil
+	return c.Geometry.Validate()
 }
 
 // Directory is the aggregate full-map directory.
@@ -192,9 +156,6 @@ type ReadResult struct {
 	// Owner is the previous owner that must forward/downgrade its copy
 	// (InvalidNode when memory supplies the data).
 	Owner mem.NodeID
-	// CMOBPtrs is a copy of the CMOB pointers recorded for the block at
-	// request time (newest first).
-	CMOBPtrs []CMOBPointer
 }
 
 // Read processes a read request from a node that missed in its private
@@ -202,9 +163,6 @@ type ReadResult struct {
 func (d *Directory) Read(node mem.NodeID, b mem.BlockAddr) ReadResult {
 	e := d.entry(b)
 	res := ReadResult{Producer: e.LastWriter, Owner: mem.InvalidNode}
-	if len(e.CMOBPtrs) > 0 {
-		res.CMOBPtrs = append([]CMOBPointer(nil), e.CMOBPtrs...)
-	}
 	switch e.State {
 	case Modified:
 		res.Owner = e.Owner
@@ -228,8 +186,8 @@ func (d *Directory) Read(node mem.NodeID, b mem.BlockAddr) ReadResult {
 // WriteResult describes the directory's response to a write (or upgrade)
 // request.
 type WriteResult struct {
-	// Invalidated lists the nodes whose copies were invalidated.
-	Invalidated []mem.NodeID
+	// Invalidated is the set of nodes whose copies were invalidated.
+	Invalidated SharerSet
 	// PreviousOwner is the node whose dirty copy was taken (InvalidNode
 	// if none).
 	PreviousOwner mem.NodeID
@@ -248,16 +206,13 @@ func (d *Directory) Write(node mem.NodeID, b mem.BlockAddr) WriteResult {
 	case Modified:
 		if e.Owner != node {
 			res.PreviousOwner = e.Owner
-			res.Invalidated = append(res.Invalidated, e.Owner)
+			res.Invalidated.Add(e.Owner)
 			res.Coherent = true
 		}
 	case Shared:
-		for _, s := range e.Sharers.Nodes() {
-			if s != node {
-				res.Invalidated = append(res.Invalidated, s)
-				res.Coherent = true
-			}
-		}
+		res.Invalidated = e.Sharers
+		res.Invalidated.Remove(node)
+		res.Coherent = res.Invalidated != 0
 	}
 	e.Sharers.Clear()
 	e.State = Modified
@@ -283,55 +238,6 @@ func (d *Directory) Evict(node mem.NodeID, b mem.BlockAddr, dirty bool) {
 	if e.State == Shared && e.Sharers.Count() == 0 {
 		e.State = Uncached
 	}
-}
-
-// RecordCMOBPointer stores a CMOB pointer for a block, keeping at most
-// PointersPerEntry pointers with the newest first. A newer pointer from the
-// same node replaces that node's older pointer rather than occupying an
-// extra slot, so the retained pointers come from distinct recent consumers.
-// The entry's pointer slice is reordered in place: once it holds
-// PointersPerEntry pointers, recording never allocates.
-func (d *Directory) RecordCMOBPointer(b mem.BlockAddr, ptr CMOBPointer) {
-	if d.cfg.PointersPerEntry == 0 {
-		return
-	}
-	e := d.entry(b)
-	ptr.Valid = true
-	ptrs := e.CMOBPtrs
-	// The slot that gives way: the node's own older pointer, else a fresh
-	// slot while there is room, else the oldest pointer.
-	i := 0
-	for i < len(ptrs) && ptrs[i].Node != ptr.Node {
-		i++
-	}
-	if i == len(ptrs) {
-		if len(ptrs) < d.cfg.PointersPerEntry {
-			ptrs = append(ptrs, CMOBPointer{})
-		} else {
-			i--
-		}
-	}
-	copy(ptrs[1:i+1], ptrs[:i])
-	ptrs[0] = ptr
-	e.CMOBPtrs = ptrs
-}
-
-// PointerStorageBits returns the directory storage overhead, in bits per
-// entry, of the CMOB pointer extension:
-// pointers × (log2(nodes) + log2(cmobEntries)), per Section 3.2.
-func (d *Directory) PointerStorageBits(cmobEntries int) int {
-	if cmobEntries <= 0 {
-		return 0
-	}
-	return d.cfg.PointersPerEntry * (ceilLog2(d.cfg.Nodes) + ceilLog2(cmobEntries))
-}
-
-func ceilLog2(n int) int {
-	bits := 0
-	for v := 1; v < n; v <<= 1 {
-		bits++
-	}
-	return bits
 }
 
 // Reset clears all directory state.

@@ -9,15 +9,7 @@ import (
 
 func newDir(t *testing.T) *Directory {
 	t.Helper()
-	return New(Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
-}
-
-// cmobPointers returns the block's stored CMOB pointers, newest first.
-func cmobPointers(d *Directory, b mem.BlockAddr) []CMOBPointer {
-	if e := d.Lookup(b); e != nil {
-		return e.CMOBPtrs
-	}
-	return nil
+	return New(Config{Nodes: 4, Geometry: mem.DefaultGeometry()})
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -28,7 +20,6 @@ func TestConfigValidate(t *testing.T) {
 		{Nodes: 0, Geometry: mem.DefaultGeometry()},
 		{Nodes: 65, Geometry: mem.DefaultGeometry()},
 		{Nodes: 4, Geometry: mem.Geometry{BlockSize: 60}},
-		{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: -1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -122,8 +113,8 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	if !wr.Coherent {
 		t.Fatal("write to shared block must be coherent")
 	}
-	if len(wr.Invalidated) != 3 {
-		t.Fatalf("invalidated %v, want 3 nodes", wr.Invalidated)
+	if wr.Invalidated != 0b0111 {
+		t.Fatalf("invalidated %v, want nodes 0, 1 and 2", wr.Invalidated.Nodes())
 	}
 	e := d.Lookup(b)
 	if e.State != Modified || e.Owner != 3 || e.LastWriter != 3 {
@@ -131,7 +122,7 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 	}
 	// Writer writes again: silent, no invalidations.
 	wr = d.Write(3, b)
-	if wr.Coherent || len(wr.Invalidated) != 0 {
+	if wr.Coherent || wr.Invalidated != 0 {
 		t.Fatalf("owner rewrite = %+v, want silent", wr)
 	}
 }
@@ -141,8 +132,8 @@ func TestWriteTakesDirtyCopy(t *testing.T) {
 	b := mem.BlockAddr(0x3000)
 	d.Write(0, b)
 	wr := d.Write(1, b)
-	if !wr.Coherent || wr.PreviousOwner != 0 {
-		t.Fatalf("write over dirty copy = %+v, want coherent with previous owner 0", wr)
+	if !wr.Coherent || wr.PreviousOwner != 0 || wr.Invalidated != 0b0001 {
+		t.Fatalf("write over dirty copy = %+v, want coherent with previous owner 0 invalidated", wr)
 	}
 }
 
@@ -170,117 +161,6 @@ func TestEvict(t *testing.T) {
 	}
 	// Evicting an unknown block is a no-op.
 	d.Evict(1, mem.BlockAddr(0xdead00), false)
-}
-
-func TestCMOBPointers(t *testing.T) {
-	d := newDir(t)
-	b := mem.BlockAddr(0x5000)
-	if got := cmobPointers(d, b); got != nil {
-		t.Fatal("pointers for untouched block should be nil")
-	}
-	d.RecordCMOBPointer(b, CMOBPointer{Node: 1, Offset: 10})
-	d.RecordCMOBPointer(b, CMOBPointer{Node: 2, Offset: 20})
-	ptrs := cmobPointers(d, b)
-	if len(ptrs) != 2 || ptrs[0].Node != 2 || ptrs[1].Node != 1 {
-		t.Fatalf("pointers = %+v, want newest (node 2) first", ptrs)
-	}
-	// Same node again: replaces its old pointer, still 2 entries.
-	d.RecordCMOBPointer(b, CMOBPointer{Node: 1, Offset: 30})
-	ptrs = cmobPointers(d, b)
-	if len(ptrs) != 2 || ptrs[0].Node != 1 || ptrs[0].Offset != 30 || ptrs[1].Node != 2 {
-		t.Fatalf("pointers = %+v, want node1@30 then node2@20", ptrs)
-	}
-	// Third distinct node: oldest drops.
-	d.RecordCMOBPointer(b, CMOBPointer{Node: 3, Offset: 40})
-	ptrs = cmobPointers(d, b)
-	if len(ptrs) != 2 || ptrs[0].Node != 3 || ptrs[1].Node != 1 {
-		t.Fatalf("pointers = %+v, want node3 then node1", ptrs)
-	}
-	// Read returns a copy of the pointers.
-	rd := d.Read(1, b)
-	if len(rd.CMOBPtrs) != 2 {
-		t.Fatalf("Read CMOBPtrs = %+v", rd.CMOBPtrs)
-	}
-}
-
-// prependPointer is the reference update RecordCMOBPointer must match: drop
-// the node's older pointer, put the new one first, keep the newest n.
-func prependPointer(ptrs []CMOBPointer, ptr CMOBPointer, n int) []CMOBPointer {
-	out := []CMOBPointer{ptr}
-	for _, p := range ptrs {
-		if p.Node != ptr.Node {
-			out = append(out, p)
-		}
-	}
-	return out[:min(len(out), n)]
-}
-
-func TestRecordCMOBPointerOrderAndDedup(t *testing.T) {
-	for _, per := range []int{1, 2, 3} {
-		d := New(Config{Nodes: 8, Geometry: mem.DefaultGeometry(), PointersPerEntry: per})
-		f := func(records []uint8) bool {
-			b := mem.BlockAddr(0x40 * uint64(len(records)))
-			d.Reset()
-			var want []CMOBPointer
-			for i, r := range records {
-				ptr := CMOBPointer{Node: mem.NodeID(r % 5), Offset: uint64(i)}
-				d.RecordCMOBPointer(b, ptr)
-				ptr.Valid = true
-				want = prependPointer(want, ptr, per)
-				got := cmobPointers(d, b)
-				if len(got) != len(want) {
-					return false
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Fatalf("PointersPerEntry=%d: %v", per, err)
-		}
-	}
-}
-
-func TestRecordCMOBPointerDoesNotAllocate(t *testing.T) {
-	for _, per := range []int{1, 2, 3} {
-		d := New(Config{Nodes: 8, Geometry: mem.DefaultGeometry(), PointersPerEntry: per})
-		b := mem.BlockAddr(0x7000)
-		for n := 0; n < per; n++ {
-			d.RecordCMOBPointer(b, CMOBPointer{Node: mem.NodeID(n), Offset: uint64(n)})
-		}
-		i := 0
-		allocs := testing.AllocsPerRun(200, func() {
-			i++
-			d.RecordCMOBPointer(b, CMOBPointer{Node: mem.NodeID(i % 5), Offset: uint64(i)})
-		})
-		if allocs != 0 {
-			t.Fatalf("PointersPerEntry=%d: RecordCMOBPointer made %v allocations per call, want 0", per, allocs)
-		}
-	}
-}
-
-func TestPointerStorageBits(t *testing.T) {
-	d := New(Config{Nodes: 16, Geometry: mem.DefaultGeometry(), PointersPerEntry: 2})
-	// 2 * (log2(16) + log2(1M)) = 2 * (4 + 20) = 48 bits.
-	if got := d.PointerStorageBits(1 << 20); got != 48 {
-		t.Fatalf("PointerStorageBits = %d, want 48", got)
-	}
-	if d.PointerStorageBits(0) != 0 {
-		t.Fatal("zero CMOB entries should have zero overhead")
-	}
-}
-
-func TestZeroPointerConfig(t *testing.T) {
-	d := New(Config{Nodes: 4, Geometry: mem.DefaultGeometry(), PointersPerEntry: 0})
-	b := mem.BlockAddr(0x100)
-	d.RecordCMOBPointer(b, CMOBPointer{Node: 1, Offset: 1})
-	if len(cmobPointers(d, b)) != 0 {
-		t.Fatal("directory with 0 pointers per entry must not store pointers")
-	}
 }
 
 func TestDirectoryInvariants(t *testing.T) {

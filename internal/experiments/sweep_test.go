@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
 	"tsm/internal/analysis"
@@ -88,6 +89,43 @@ func TestSweepCellsMatchesPerCell(t *testing.T) {
 		want, _ := analysis.EvaluateTSE(cfg, data.Trace)
 		if cells[i] != want {
 			t.Errorf("cell %d: %+v != %+v", i, cells[i], want)
+		}
+	}
+}
+
+// TestFigureSweepsMatchIndependentSystems: every figure sweep's cells
+// share one arrangement, and each cell's full TSE result must be deeply
+// equal to an independent tse.System run over the same trace. Figure 10
+// is also checked without its unlimited peak cell, so that the shared
+// logs are bounded (the tse package's arrangement tests make them wrap).
+func TestFigureSweepsMatchIndependentSystems(t *testing.T) {
+	w := testWorkspace(t)
+	for _, name := range w.WorkloadNames() {
+		data, err := w.Data(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig10 := fig10Configs(w, data.Generator.Timing().Lookahead)
+		figures := []struct {
+			id   string
+			cfgs []tse.Config
+		}{
+			{"fig7", fig7Configs(w)},
+			{"fig8", fig8Configs(w)},
+			{"fig9", fig9Configs(w)},
+			{"fig10", fig10},
+			{"fig10-bounded", fig10[1:]},
+		}
+		for _, fig := range figures {
+			results, err := analysis.Sweep(fig.cfgs, stream.TraceSource(data.Trace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range fig.cfgs {
+				if want := tse.NewSystem(cfg).Run(data.Trace); !reflect.DeepEqual(results[i].Full, want) {
+					t.Errorf("%s/%s cell %d: shared %+v != independent %+v", fig.id, name, i, results[i].Full, want)
+				}
+			}
 		}
 	}
 }

@@ -26,11 +26,12 @@ package pipeline
 //	pipeline.consumer.<label>.events   counter  events delivered to the consumer
 //	pipeline.consumer.<label>.stall_ns counter  consumer blocked waiting for chunks
 //	pipeline.consumer.<label>.lag_max  gauge    peak cursor lag behind the producer, in chunks
+//	pipeline.stage.<name>.busy_ns      counter  time the Stage spent building chunk products
 //
-// Trace lanes: lane 0 is the producer (spans "decode" and per-chunk
-// "chunk"), lane i+1 is consumer i (one span per consumer, with events and
-// events_per_sec args) — which is exactly the per-cell throughput view a
-// sweep needs.
+// Trace lanes: lane 0 is the producer (spans "decode", per-chunk "chunk"
+// and, with a Stage, one per-chunk span named after the stage), lane i+1
+// is consumer i (one span per consumer, with events and events_per_sec
+// args) — which is exactly the per-cell throughput view a sweep needs.
 
 import (
 	"fmt"
@@ -56,6 +57,7 @@ type engineObs struct {
 	consumerWait    *obs.Histogram
 	ringOcc         *obs.Gauge
 	ringOccMax      *obs.Gauge
+	stageBusyNs     *obs.Counter // nil without a Stage
 
 	consumers []consumerObs
 }
@@ -97,6 +99,9 @@ func (c Config) newObs(n int) *engineObs {
 		ringOcc:         m.Gauge("pipeline.ring.occupancy"),
 		ringOccMax:      m.Gauge("pipeline.ring.occupancy_max"),
 		consumers:       make([]consumerObs, n),
+	}
+	if c.Stage != nil {
+		o.stageBusyNs = m.Counter("pipeline.stage." + c.Stage.Name() + ".busy_ns")
 	}
 	c.Tracer.NameLane(0, "producer")
 	for i := range o.consumers {
@@ -142,6 +147,14 @@ func (o *engineObs) producerDone(elapsed time.Duration) {
 	if s := elapsed.Seconds(); s > 0 {
 		o.decodeRate.Set(int64(float64(o.eventsDecoded.Value()) / s))
 	}
+}
+
+// stageBuilt records the time the Stage spent on one chunk.
+func (o *engineObs) stageBuilt(d time.Duration) {
+	if o == nil {
+		return
+	}
+	o.stageBusyNs.Add(uint64(d))
 }
 
 // producerStall records one backpressure wait (the slowest cursor holding

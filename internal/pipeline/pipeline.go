@@ -31,6 +31,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -54,6 +55,55 @@ var ErrCanceled = errors.New("pipeline: canceled by another consumer's error")
 // consumer has returned, the engine stops decoding.
 type Consumer interface {
 	Run(src stream.Source) error
+}
+
+// PanicError is the error a run returns in place of a panic in one of its
+// goroutines, so that one failing consumer cannot take the process down.
+type PanicError struct {
+	// Name is "consumer <label>" for a consumer, or "producer" for the
+	// goroutine that fills the chunks and runs the Stage.
+	Name  string
+	Value any // the value passed to panic
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pipeline: %s panicked: %v", e.Name, e.Value)
+}
+
+// runConsumer runs consumer i, returning a panic as a *PanicError that
+// names it.
+func (c Config) runConsumer(i int, consumer Consumer, src stream.Source) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Name: "consumer " + c.consumerLabel(i), Value: v}
+		}
+	}()
+	return consumer.Run(src)
+}
+
+// Stage is a per-chunk build step shared by every consumer: it runs once
+// per chunk on the producer's goroutine, after the chunk is filled and
+// before it is published, and its product is published with the chunk
+// (StagedSource). Work that every consumer would otherwise repeat
+// identically is done here once.
+type Stage interface {
+	// Name labels the stage's trace spans and busy-time metric.
+	Name() string
+	// Build derives the product of one chunk from its columns. prev is
+	// the product the chunk's ring slot carried before, which no consumer
+	// reads any more (nil on the slot's first use), so Build may reuse its
+	// storage. An error ends the stream: consumers drain the chunks
+	// already published, then observe it as their terminal source error.
+	Build(c *stream.ChunkSoA, prev any) (any, error)
+}
+
+// StagedSource is implemented by the sources of a run with a Stage.
+type StagedSource interface {
+	stream.SoASource
+	// NextChunkStaged returns the next whole chunk as columns together
+	// with the stage's product for it, both valid until the next call. A
+	// consumer that reads products must take every chunk this way.
+	NextChunkStaged() (*stream.ChunkSoA, any, error)
 }
 
 // ConsumerFunc adapts a function to the Consumer interface.
@@ -91,6 +141,10 @@ type Config struct {
 	// in metrics and trace lanes; consumers beyond the list — or empty
 	// entries — fall back to their index.
 	ConsumerNames []string
+	// Stage, when non-nil, builds a product from every chunk ahead of the
+	// consumers (see Stage). A run with a Stage broadcasts through the
+	// ring even to a single consumer.
+	Stage Stage
 	// Series, when non-nil, attaches domain time-series sampling: every
 	// consumer implementing Sampler receives a per-consumer obs.Series (named
 	// by its label) and is pumped at broadcast-chunk boundaries (see
@@ -135,11 +189,15 @@ type bcastChunk struct {
 	matSoA bool
 	events []trace.Event // event form; empty unless matAoS
 	matAoS bool
+
+	// staged is the Stage's product for the chunk, built before publish.
+	// reset keeps it: the next Build over the slot reuses it.
+	staged any
 }
 
-// reset empties the chunk for refill, keeping both buffers' capacity. The
-// caller guarantees no consumer still reads the chunk (ring slot recycling
-// provides that ordering).
+// reset empties the chunk for refill, keeping both buffers' capacity and
+// the stage product. The caller guarantees no consumer still reads the
+// chunk (ring slot recycling provides that ordering).
 func (b *bcastChunk) reset() {
 	b.n = 0
 	b.soa.Reset()
@@ -238,22 +296,23 @@ func (f chunkFiller) fill(dst *bcastChunk, chunkEvents int) (terminal error) {
 // Run decodes src exactly once and broadcasts the events to every consumer
 // through the ring, blocking until the producer and all
 // consumers have finished (no goroutine outlives the call). With zero
-// consumers it returns nil without reading src; with one consumer it runs
-// the consumer directly on the caller's goroutine (no broadcast needed — a
-// plain single pass).
+// consumers it returns nil without reading src; with one consumer and no
+// Stage it runs the consumer directly on the caller's goroutine (no
+// broadcast needed — a plain single pass). A panic in a consumer or in the
+// producer is returned as a *PanicError.
 //
 // On success every consumer has drained the full stream in decode order. On
 // failure Run returns the first error in consumer order — a consumer's own
 // failure, or the decode error every consumer observed — never ErrCanceled.
 func (c Config) Run(src stream.Source, consumers ...Consumer) error {
-	switch len(consumers) {
-	case 0:
+	switch {
+	case len(consumers) == 0:
 		return nil
-	case 1:
+	case len(consumers) == 1 && c.Stage == nil:
 		smps := c.samplers(consumers)
 		o := c.newObs(1)
 		if o == nil && smps == nil {
-			return consumers[0].Run(src)
+			return c.runConsumer(0, consumers[0], src)
 		}
 		runSrc := src
 		if smp := samplerAt(smps, 0); smp != nil {
@@ -264,12 +323,12 @@ func (c Config) Run(src stream.Source, consumers ...Consumer) error {
 			runSrc = &pumpSource{src: src, sampleState: sampleState{sampler: smp}, chunkEvents: n}
 		}
 		if o == nil {
-			return consumers[0].Run(runSrc)
+			return c.runConsumer(0, consumers[0], runSrc)
 		}
 		start := time.Now()
 		sp := o.beginSpan(o.consumers[0].label, "consumer", 1)
 		counted := &singleSource{src: runSrc, o: o}
-		err := consumers[0].Run(counted)
+		err := c.runConsumer(0, consumers[0], counted)
 		counted.flush()
 		o.producerDone(time.Since(start))
 		o.consumerSpanEnd(0, sp)

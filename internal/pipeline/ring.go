@@ -284,8 +284,42 @@ func (s *ringSource) NextChunkSoA() (*stream.ChunkSoA, error) {
 	return &s.view, nil
 }
 
-// runRing is Config.Run's broadcast for two or more consumers (zero and one
-// consumer take the direct paths in Run).
+// errPartialStaged is returned by NextChunkStaged after per-event reads left
+// the current chunk half consumed: the stage product covers whole chunks.
+var errPartialStaged = errors.New("pipeline: NextChunkStaged after a partially read chunk")
+
+// NextChunkStaged implements StagedSource.
+func (s *ringSource) NextChunkStaged() (*stream.ChunkSoA, any, error) {
+	if s.err == nil && s.cur != nil && s.pos > 0 && s.pos < s.cur.n {
+		return nil, nil, errPartialStaged
+	}
+	cols, err := s.NextChunkSoA()
+	if err != nil {
+		return nil, nil, err
+	}
+	return cols, s.cur.staged, nil
+}
+
+// buildStage runs the Stage over a filled chunk, before it is published.
+func (c Config) buildStage(chunk *bcastChunk, o *engineObs) error {
+	var sp *obs.SpanHandle
+	var t0 time.Time
+	if o.enabled() {
+		sp = o.beginSpan(c.Stage.Name(), "stage", 0)
+		t0 = time.Now()
+	}
+	var err error
+	chunk.staged, err = c.Stage.Build(chunk.cols(), chunk.staged)
+	if o.enabled() {
+		o.stageBuilt(time.Since(t0))
+		sp.Arg("events", chunk.n).End()
+	}
+	return err
+}
+
+// runRing is Config.Run's broadcast for two or more consumers, or any
+// number with a Stage (zero consumers, and one without a Stage, take the
+// direct paths in Run).
 func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler, o *engineObs) error {
 	r := newRingState(c.ChunkBuffer, len(consumers), o)
 	var wg sync.WaitGroup
@@ -301,6 +335,9 @@ func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler,
 		var total uint64
 		sp := o.beginSpan("decode", "pipeline", 0)
 		defer func() {
+			if v := recover(); v != nil {
+				r.close(&PanicError{Name: "producer", Value: v})
+			}
 			o.producerDone(time.Since(start))
 			if sp != nil {
 				sp.Arg("events", total).End()
@@ -322,6 +359,12 @@ func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler,
 				total += uint64(n)
 				o.decoded(n)
 				csp.Arg("events", n).End()
+				if c.Stage != nil {
+					if err := c.buildStage(chunk, o); err != nil {
+						r.close(err)
+						return
+					}
+				}
 				if !r.publish(chunk) {
 					r.close(ErrCanceled)
 					return
@@ -347,7 +390,7 @@ func (c Config) runRing(src stream.Source, consumers []Consumer, smps []Sampler,
 		go func(i int, consumer Consumer) {
 			defer wg.Done()
 			sp := o.beginSpan(o.label(i), "consumer", i+1)
-			err := consumer.Run(&ringSource{
+			err := c.runConsumer(i, consumer, &ringSource{
 				r: r, id: i,
 				sampleState: sampleState{sampler: samplerAt(smps, i)},
 			})

@@ -4,34 +4,74 @@ import (
 	"tsm/internal/mem"
 )
 
-// CMOB is a node's Coherence Miss Order Buffer: a circular buffer, resident
-// in a private region of main memory, that records the node's coherent read
-// misses (and useful streamed hits, which replace the misses they
-// eliminated) in program order (Section 3.1).
+// cmobLog holds the recorded entries of one node's CMOB. Offset o is
+// stored at entries[o%size], or at entries[o] when size is 0 (a log that
+// keeps everything). Storage grows by append, never beyond size, and only
+// then wraps, so until the first wrap len(entries) == number of appends.
+//
+// A log is appended to only at offsets past every reader's bound, and a
+// wrapped slot is overwritten only once no reader can still need its old
+// offset, so a copy of a log (a view) stays valid for the offsets below
+// the append count it was taken at.
+type cmobLog struct {
+	entries []mem.BlockAddr
+	size    int // 0 = keep every entry
+}
+
+// append stores b at offset off, the log's append count.
+func (l *cmobLog) append(off uint64, b mem.BlockAddr) {
+	if l.size == 0 || len(l.entries) < l.size {
+		l.entries = appendBounded(l.entries, b, l.size)
+	} else {
+		l.entries[off%uint64(l.size)] = b
+	}
+}
+
+// at returns the entry stored for off.
+func (l *cmobLog) at(off uint64) mem.BlockAddr {
+	if l.size == 0 {
+		return l.entries[off]
+	}
+	return l.entries[off%uint64(l.size)]
+}
+
+// CMOB is a node's Coherence Miss Order Buffer as one System sees it: a
+// circular buffer, resident in a private region of main memory, that
+// records the node's coherent read misses (and useful streamed hits, which
+// replace the misses they eliminated) in program order (Section 3.1).
 //
 // Entries are addressed by a monotonically increasing append offset; the
 // circular storage retains only the most recent Capacity entries, so reads
 // of overwritten offsets fail, which is how a too-small CMOB loses coverage
 // (Figure 10).
 //
-// Storage grows by append as entries arrive, never beyond Capacity, and
-// only then wraps: a System sized for the paper's 1.5 MB ring costs nothing
-// until its nodes actually record misses. Until the first wrap,
-// len(entries) == next.
+// The capacity and the append count are the CMOB's own; the entries live in
+// a log. A standalone CMOB appends to a private log of exactly Capacity
+// entries, which costs nothing until the node actually records misses. A
+// System driven by a shared Arrangement reads the arrangement's log for the
+// node instead, and only counts its appends: every configuration appends
+// the same blocks in the same order, so only residency differs.
 type CMOB struct {
-	capacity int // 0 = unlimited
-	entries  []mem.BlockAddr
+	capacity int    // 0 = unlimited
 	next     uint64 // next append offset (== number of appends so far)
+	log      cmobLog
 }
 
 // NewCMOB returns a CMOB with the given capacity in entries (0 = unlimited).
-func NewCMOB(capacity int) *CMOB { return &CMOB{capacity: capacity} }
+func NewCMOB(capacity int) *CMOB {
+	return &CMOB{capacity: capacity, log: cmobLog{size: capacity}}
+}
 
 // Capacity returns the configured capacity (0 = unlimited).
 func (c *CMOB) Capacity() int { return c.capacity }
 
 // Len returns the number of entries currently retained.
-func (c *CMOB) Len() int { return len(c.entries) }
+func (c *CMOB) Len() int {
+	if c.capacity > 0 && c.next > uint64(c.capacity) {
+		return c.capacity
+	}
+	return int(c.next)
+}
 
 // Appends returns the total number of appends performed.
 func (c *CMOB) Appends() uint64 { return c.next }
@@ -41,11 +81,7 @@ func (c *CMOB) Appends() uint64 { return c.next }
 // entry as a CMOB pointer.
 func (c *CMOB) Append(b mem.BlockAddr) uint64 {
 	offset := c.next
-	if c.capacity == 0 || len(c.entries) < c.capacity {
-		c.entries = appendBounded(c.entries, b, c.capacity)
-	} else {
-		c.entries[offset%uint64(c.capacity)] = b
-	}
+	c.log.append(offset, b)
 	c.next++
 	return offset
 }
@@ -63,15 +99,7 @@ func appendBounded[T any](s []T, v T, capacity int) []T {
 
 // resident reports whether the entry at offset is still retained.
 func (c *CMOB) resident(offset uint64) bool {
-	return offset < c.next && c.next-offset <= uint64(len(c.entries))
-}
-
-// slot maps a resident offset onto its index in the storage.
-func (c *CMOB) slot(offset uint64) int {
-	if c.capacity == 0 {
-		return int(offset)
-	}
-	return int(offset % uint64(c.capacity))
+	return offset < c.next && c.next-offset <= uint64(c.Len())
 }
 
 // At returns the entry at offset, if still resident.
@@ -79,7 +107,7 @@ func (c *CMOB) At(offset uint64) (mem.BlockAddr, bool) {
 	if !c.resident(offset) {
 		return 0, false
 	}
-	return c.entries[c.slot(offset)], true
+	return c.log.at(offset), true
 }
 
 // ReadStream appends to dst up to n addresses starting at the entry
@@ -98,7 +126,7 @@ func (c *CMOB) ReadStream(dst []mem.BlockAddr, offset uint64, n int) ([]mem.Bloc
 		n = int(avail)
 	}
 	for off := offset + 1; off <= offset+uint64(n); off++ {
-		dst = append(dst, c.entries[c.slot(off)])
+		dst = append(dst, c.log.at(off))
 	}
 	return dst, offset + uint64(n)
 }
@@ -110,5 +138,5 @@ func (c *CMOB) StorageBytes() int { return c.Len() * CMOBEntryBytes }
 // Reset discards all entries, keeping the storage for reuse.
 func (c *CMOB) Reset() {
 	c.next = 0
-	c.entries = c.entries[:0]
+	c.log.entries = c.log.entries[:0]
 }

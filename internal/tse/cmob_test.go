@@ -189,8 +189,8 @@ func TestCMOBLazyGrowthMatchesEager(t *testing.T) {
 			if c.Len() != want || c.StorageBytes() != want*CMOBEntryBytes {
 				t.Fatalf("cap %d %s: Len = %d, StorageBytes = %d with %d appends", capacity, step, c.Len(), c.StorageBytes(), len(ref.all))
 			}
-			if capacity > 0 && cap(c.entries) > capacity {
-				t.Fatalf("cap %d %s: storage grew to %d entries", capacity, step, cap(c.entries))
+			if capacity > 0 && cap(c.log.entries) > capacity {
+				t.Fatalf("cap %d %s: storage grew to %d entries", capacity, step, cap(c.log.entries))
 			}
 			for off := uint64(0); off <= uint64(len(ref.all))+1; off++ {
 				gb, gok := c.At(off)

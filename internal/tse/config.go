@@ -5,8 +5,11 @@
 //     circular buffer recording the node's order of coherent read misses
 //     (Section 3.1);
 //   - the directory CMOB-pointer extension used to locate streams
-//     (Section 3.2; storage lives in internal/directory, the lookup logic
-//     here);
+//     (Section 3.2), a pointer table the TSE model owns; the coherence
+//     directory in internal/directory keeps no pointers;
+//   - the Arrangement, the CMOB logs and pointer lists that every
+//     configuration records identically, built once to drive many
+//     Systems over one stream;
 //   - the per-node stream engine: stream queues holding one FIFO per
 //     compared stream, head comparison, stall/reselect on divergence, and
 //     half-empty refill from the source CMOB (Section 3.3);

@@ -1,7 +1,6 @@
 package tse
 
 import (
-	"tsm/internal/directory"
 	"tsm/internal/mem"
 	"tsm/internal/stats"
 )
@@ -99,7 +98,7 @@ func (e *Engine) SetRefillHandler(fn func(mem.NodeID, int)) { e.onRefill = fn }
 // CMOB pointers the directory returned for the block (newest first); they
 // are only read during the call, never retained. It reports whether the SVB
 // already held the block (the consumption is covered/eliminated).
-func (e *Engine) Consumption(b mem.BlockAddr, ptrs []directory.CMOBPointer) bool {
+func (e *Engine) Consumption(b mem.BlockAddr, ptrs []CMOBPointer) bool {
 	e.stats.Consumptions++
 	e.clock++
 	if qid, ok := e.svb.Hit(b); ok {
@@ -185,7 +184,7 @@ func (e *Engine) findQueue(id int) *streamQueue {
 
 // allocate sets up a stream queue for a stream head using the directory's
 // CMOB pointers, fetching the initial addresses from the source CMOBs.
-func (e *Engine) allocate(head mem.BlockAddr, ptrs []directory.CMOBPointer) {
+func (e *Engine) allocate(head mem.BlockAddr, ptrs []CMOBPointer) {
 	if len(ptrs) == 0 {
 		return
 	}

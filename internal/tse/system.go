@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/bits"
 
-	"tsm/internal/directory"
 	"tsm/internal/mem"
 	"tsm/internal/stats"
 	"tsm/internal/trace"
@@ -104,18 +103,28 @@ func (r Result) String() string {
 // System implements the model interface used by internal/analysis, so it can
 // be evaluated side by side with the baseline prefetchers of Figure 12.
 //
+// A System records its own CMOB entries and pointer table as it goes. When
+// many Systems replay the same stream, one shared Arrangement can record
+// them instead (RunArranged); each System then keeps only its per-node
+// append counts, which is all that tells its CMOB residency apart.
+//
 // The System keeps one holder index shared by all its SVBs: for each block
 // some SVB holds, the bitmask of the holding nodes. A write invalidates the
 // streamed copies that exist (Section 3.3) by visiting exactly those nodes,
 // so its cost does not grow with the node count.
 type System struct {
 	cfg     Config
-	cmobs   []*CMOB
+	cmobs   []CMOB
 	engines []*Engine
-	dir     *directory.Directory
+	// ptrs is the System's own pointer table, and scratch the pointer
+	// list of the consumption in flight; both unused under RunArranged.
+	ptrs    pointerTable
+	scratch []CMOBPointer
 	holders holderIndex
 	traffic Traffic
 	peak    int
+	// lostReads counts CMOB reads whose pointed entry was overwritten.
+	lostReads uint64
 }
 
 // NewSystem builds a TSE system model. It panics on an invalid
@@ -124,19 +133,18 @@ func NewSystem(cfg Config) *System {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	s := &System{cfg: cfg, holders: make(holderIndex)}
-	s.dir = directory.New(directory.Config{
-		Nodes:            cfg.Nodes,
-		Geometry:         cfg.Geometry,
-		PointersPerEntry: cfg.ComparedStreams,
-	})
-	s.cmobs = make([]*CMOB, cfg.Nodes)
+	s := &System{cfg: cfg, holders: make(holderIndex), ptrs: pointerTable{width: cfg.ComparedStreams}}
+	s.cmobs = make([]CMOB, cfg.Nodes)
 	s.engines = make([]*Engine, cfg.Nodes)
 	read := func(dst []mem.BlockAddr, node mem.NodeID, offset uint64, n int) ([]mem.BlockAddr, uint64) {
-		return s.cmobs[node].ReadStream(dst, offset, n)
+		c := &s.cmobs[node]
+		if n > 0 && !c.resident(offset) {
+			s.lostReads++
+		}
+		return c.ReadStream(dst, offset, n)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		s.cmobs[i] = NewCMOB(cfg.CMOBEntries)
+		s.cmobs[i] = *NewCMOB(cfg.CMOBEntries)
 		e := NewEngine(mem.NodeID(i), cfg, read)
 		e.SetRefillHandler(func(source mem.NodeID, addresses int) {
 			s.traffic.StreamRequestBytes += requestMessageBytes
@@ -158,35 +166,49 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) Engine(node mem.NodeID) *Engine { return s.engines[node] }
 
 // CMOB returns the CMOB of one node (for white-box tests).
-func (s *System) CMOB(node mem.NodeID) *CMOB { return s.cmobs[node] }
+func (s *System) CMOB(node mem.NodeID) *CMOB { return &s.cmobs[node] }
 
 // Consumption processes a consumption event in global order and reports
-// whether TSE eliminated it (the block was already in the node's SVB).
-func (s *System) Consumption(e trace.Event) bool { return s.consume(e.Node, e.Block) }
-
-// consume is the consumption inner loop over the only two fields a
-// consumption uses, shared by the per-event path and RunColumns.
-func (s *System) consume(node mem.NodeID, block mem.BlockAddr) bool {
-	if int(node) < 0 || int(node) >= s.cfg.Nodes {
-		panic(fmt.Sprintf("tse: consumption from node %d outside [0,%d)", node, s.cfg.Nodes))
+// whether TSE eliminated it (the block was already in the node's SVB). It
+// panics on a node outside [0, Nodes); RunColumns and RunSource return that
+// as a *NodeError instead.
+func (s *System) Consumption(e trace.Event) bool {
+	covered, err := s.consumeOwn(e.Node, e.Block)
+	if err != nil {
+		panic(err)
 	}
+	return covered
+}
 
-	// The directory lookup happens on the miss path; the engine only uses
-	// the pointers if the SVB misses, and only during the call, so it reads
-	// the entry's own slice before RecordCMOBPointer reorders it.
-	var ptrs []directory.CMOBPointer
-	if de := s.dir.Lookup(block); de != nil {
-		ptrs = de.CMOBPtrs
+// consumeOwn is a consumption against the System's own CMOB log and
+// pointer table: look up the block's pointers and send the node's update
+// to the directory, run the engine, then record the block in the node's
+// CMOB. The engine reads CMOBs only below the append counts, so it never
+// sees this consumption's own entry.
+func (s *System) consumeOwn(node mem.NodeID, block mem.BlockAddr) (bool, error) {
+	if err := checkNode(node, s.cfg.Nodes); err != nil {
+		return false, err
 	}
+	c := &s.cmobs[node]
+	s.scratch = s.ptrs.record(block, CMOBPointer{Node: node, Offset: c.next}, s.scratch[:0])
+	covered := s.consume(node, block, s.scratch)
+	c.log.append(c.next-1, block)
+	return covered, nil
+}
+
+// consume is the consumption inner loop shared by every path. ptrs are
+// the block's CMOB pointers before this consumption's update, newest
+// first; the engine uses them only if the SVB misses, and only during the
+// call. The node's CMOB append is counted here (useful streamed hits are
+// recorded too, since they replace the misses they eliminated); the
+// caller stores the entry.
+func (s *System) consume(node mem.NodeID, block mem.BlockAddr, ptrs []CMOBPointer) bool {
 	covered := s.engines[node].Consumption(block, ptrs)
 
-	// Record the consumption in the node's CMOB (useful streamed hits are
-	// recorded too, since they replace the misses they eliminated), and
-	// send the CMOB pointer update to the directory.
-	offset := s.cmobs[node].Append(block)
-	s.dir.RecordCMOBPointer(block, directory.CMOBPointer{Node: node, Offset: offset})
+	c := &s.cmobs[node]
+	c.next++
 	s.traffic.PointerUpdateBytes += CMOBPointerBytes
-	if sb := s.cmobs[node].StorageBytes(); sb > s.peak {
+	if sb := c.StorageBytes(); sb > s.peak {
 		s.peak = sb
 	}
 
@@ -218,16 +240,20 @@ func (s *System) writeBlock(block mem.BlockAddr) {
 // its kind actually uses — consumptions read node+block, writes read block,
 // read-miss annotations are skipped without assembling anything. Results
 // are bit-identical to feeding the same events through Consumption/Write
-// one at a time.
-func (s *System) RunColumns(kinds []trace.EventKind, nodes []mem.NodeID, blocks []mem.BlockAddr) {
+// one at a time. A consumption by a node outside [0, Nodes) stops the chunk
+// there with a *NodeError.
+func (s *System) RunColumns(kinds []trace.EventKind, nodes []mem.NodeID, blocks []mem.BlockAddr) error {
 	for i, k := range kinds {
 		switch k {
 		case trace.KindConsumption:
-			s.consume(nodes[i], blocks[i])
+			if _, err := s.consumeOwn(nodes[i], blocks[i]); err != nil {
+				return err
+			}
 		case trace.KindWrite:
 			s.writeBlock(blocks[i])
 		}
 	}
+	return nil
 }
 
 // Finish flushes all per-node state (counting unconsumed streamed blocks as
@@ -282,6 +308,13 @@ type LiveStats struct {
 	Evicted, Invalidated uint64
 	// StreamsAllocated is cumulative stream-queue allocations.
 	StreamsAllocated uint64
+	// Refills is cumulative stream-queue refill requests: a FIFO ran half
+	// empty and asked its source CMOB for more addresses.
+	Refills uint64
+	// LostReads is cumulative CMOB reads (for a new stream or a refill)
+	// whose pointed entry had already been overwritten: the stream was
+	// recorded, but a CMOB too small to hold it lost it (Figure 10).
+	LostReads uint64
 	// SVBResident is the blocks currently held across all SVBs.
 	SVBResident int
 	// CMOBBytes is the current CMOB storage in use across all nodes.
@@ -308,6 +341,8 @@ func (ls LiveStats) SeriesValues() map[string]float64 {
 		"discards_evicted":     float64(ls.Evicted),
 		"discards_invalidated": float64(ls.Invalidated),
 		"streams":              float64(ls.StreamsAllocated),
+		"refills":              float64(ls.Refills),
+		"cmob_reads_lost":      float64(ls.LostReads),
 		"svb_resident":         float64(ls.SVBResident),
 		"cmob_bytes":           float64(ls.CMOBBytes),
 	}
@@ -317,13 +352,14 @@ func (ls LiveStats) SeriesValues() map[string]float64 {
 // must run between events (same goroutine as Consumption/Write), which is
 // exactly when the pipeline's sampling pump fires.
 func (s *System) Probe() LiveStats {
-	var ls LiveStats
+	ls := LiveStats{LostReads: s.lostReads}
 	for i, eng := range s.engines {
 		es := eng.Stats()
 		ls.Consumptions += es.Consumptions
 		ls.Covered += es.Covered
 		ls.BlocksFetched += es.BlocksFetched
 		ls.StreamsAllocated += es.StreamsAllocated
+		ls.Refills += es.RefillRequests
 		st := eng.SVB().Stats()
 		ls.Discards += st.Discards
 		ls.Evicted += st.Evicted
@@ -359,9 +395,13 @@ func (s *sliceSource) Next() (trace.Event, error) {
 }
 
 // Run processes every event of a trace and returns the final result. It is
-// a convenience wrapper over Consumption/Write/Finish.
+// a convenience wrapper over Consumption/Write/Finish, and panics where
+// Consumption does.
 func (s *System) Run(tr *trace.Trace) Result {
-	res, _ := s.RunSource(&sliceSource{events: tr.Events})
+	res, err := s.RunSource(&sliceSource{events: tr.Events})
+	if err != nil {
+		panic(err)
+	}
 	return res
 }
 
@@ -369,9 +409,10 @@ func (s *System) Run(tr *trace.Trace) Result {
 // the final result. The events are observed one at a time in stream order —
 // the trace is never materialized — so a trace file of any size drives the
 // full TSE system in bounded memory, and the result is bit-identical to
-// Run over the equivalent in-memory trace. A source error other than io.EOF
-// aborts the run; the partial result (flushed via Finish) is returned with
-// the error, and the System must not be used afterwards either way.
+// Run over the equivalent in-memory trace. A source error other than io.EOF,
+// or a consumption by a node outside [0, Nodes) (a *NodeError), aborts the
+// run; the partial result (flushed via Finish) is returned with the error,
+// and the System must not be used afterwards either way.
 func (s *System) RunSource(src EventSource) (Result, error) {
 	for {
 		e, err := src.Next()
@@ -383,7 +424,9 @@ func (s *System) RunSource(src EventSource) (Result, error) {
 		}
 		switch e.Kind {
 		case trace.KindConsumption:
-			s.Consumption(e)
+			if _, err := s.consumeOwn(e.Node, e.Block); err != nil {
+				return s.Finish(), err
+			}
 		case trace.KindWrite:
 			s.Write(e)
 		}

@@ -238,3 +238,36 @@ func TestSweepSeriesAndManifest(t *testing.T) {
 		t.Fatalf("sweep manifest replay settings %+v", m.Replay)
 	}
 }
+
+// TestSweepArrangeStageIsVisible: a sweep of two or more cells builds its
+// shared CMOB arrangement in a pipeline stage of its own, whose busy time
+// and per-chunk spans show its share of the run; a replay builds none.
+func TestSweepArrangeStageIsVisible(t *testing.T) {
+	const busy = "pipeline.stage.arrange.busy_ns"
+	path := writeTestTrace(t, "db2")
+	m, tr := NewMetrics(), NewTracer()
+	if _, err := EvaluateTSESweepFileWith(path, "lookahead", ReplayConfig{}, Instrumentation{Metrics: m, Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	counters := m.Snapshot().Counters
+	if counters[busy] == 0 || counters[busy] > counters["pipeline.wall_ns"] {
+		t.Fatalf("%s = %d with pipeline.wall_ns = %d, want non-zero and within the wall time", busy, counters[busy], counters["pipeline.wall_ns"])
+	}
+	spans := 0
+	for _, sp := range tr.Spans() {
+		if sp.Name == "arrange" && sp.Cat == "stage" {
+			spans++
+		}
+	}
+	if uint64(spans) != counters["pipeline.chunks_decoded"] {
+		t.Fatalf("%d arrange spans for %d chunks", spans, counters["pipeline.chunks_decoded"])
+	}
+
+	m = NewMetrics()
+	if _, err := EvaluateTSEFileWith(path, ReplayConfig{}, Instrumentation{Metrics: m}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Snapshot().Counters[busy]; ok {
+		t.Fatalf("a replay reported %s", busy)
+	}
+}

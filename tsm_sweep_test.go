@@ -2,11 +2,16 @@ package tsm
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"tsm/internal/analysis"
 	"tsm/internal/experiments"
+	"tsm/internal/mem"
 	"tsm/internal/stream"
+	"tsm/internal/trace"
+	"tsm/internal/tse"
 )
 
 // TestSweepConfigsMirrorFigureDrivers: the named sweeps must use the figure
@@ -189,5 +194,55 @@ func TestEvaluateTSESweepFile(t *testing.T) {
 	}
 	if _, err := EvaluateTSESweepFile(t.TempDir()+"/missing.tsm", "streams"); err == nil {
 		t.Fatal("missing file should error")
+	}
+}
+
+// TestFacadeSweepsMatchIndependentSystems: the cells of every named sweep
+// share one arrangement, and each cell's full TSE result must be deeply
+// equal to an independent tse.System run over the same trace.
+func TestFacadeSweepsMatchIndependentSystems(t *testing.T) {
+	opts := testOpts()
+	for _, workload := range []string{"db2", "em3d"} {
+		tr, gen, err := GenerateTrace(workload, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sweep := range TSESweeps() {
+			_, cfgs, err := sweepConfigs(sweep, gen, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := analysis.Sweep(cfgs, stream.TraceSource(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range cfgs {
+				if want := tse.NewSystem(cfg).Run(tr); !reflect.DeepEqual(got[i].Full, want) {
+					t.Errorf("%s sweep %q cell %d: shared %+v != independent %+v", workload, sweep, i, got[i].Full, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOutOfRangeNodeSweepAndReplayAreErrors: a consumption by node ==
+// Nodes fails a sweep source and a replay source in band: an error, no
+// results, and no panic in any pipeline goroutine.
+func TestOutOfRangeNodeSweepAndReplayAreErrors(t *testing.T) {
+	meta := TraceMeta{Workload: "db2", Nodes: 4, Scale: 0.05, Seed: 7}
+	events := []Event{
+		{Kind: trace.KindWrite, Node: 0, Block: 0x1000, Producer: mem.InvalidNode},
+		{Kind: trace.KindConsumption, Node: 1, Block: 0x1000, Producer: 0},
+		{Kind: trace.KindConsumption, Node: 4, Block: 0x1000, Producer: 0},
+	}
+	for _, sweep := range TSESweeps() {
+		cells, err := EvaluateTSESweepSource(stream.NewSliceSource(events), meta, sweep)
+		if err == nil || !strings.Contains(err.Error(), "node 4 outside [0,4)") || cells != nil {
+			t.Fatalf("sweep %q: cells %v, err = %v, want the out-of-range node named and no cells", sweep, cells, err)
+		}
+	}
+	rep, err := EvaluateTSESource(stream.NewSliceSource(events), meta)
+	if err == nil || rep != (Report{}) {
+		t.Fatalf("replay: report %v, err = %v, want an error and no report", rep, err)
 	}
 }
